@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import games
-from .program import ProgramError, StrategyProgram
+from .program import ProgramError, StrategyProgram, load_program
 from .rng import RNG_ALGORITHM, SplitMix64, derive_seed
 from .runtime import Bindings, Budget, CoinView, RuntimeFault, evaluate
 from .slang.validator import GAME_COIN, GAME_IPD, GAMES, validate
@@ -67,6 +67,24 @@ class MatchConfig:
         else:
             d["board_size"] = self.board_size
         return d
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> MatchConfig:
+        """Inverse of to_json_dict (the fallback comes back explicit)."""
+        extra = {}
+        if "payoffs" in d:
+            p = d["payoffs"]
+            extra["payoffs"] = games.PayoffParams(p["T"], p["R"], p["P"], p["S"])
+        if "board_size" in d:
+            extra["board_size"] = d["board_size"]
+        return cls(
+            game=d["game"],
+            rounds=d["rounds"],
+            seed=d["seed"],
+            fallback=d["fallback"],
+            budget=Budget(**d["budget"]),
+            **extra,
+        )
 
 
 @dataclass(frozen=True)
@@ -150,6 +168,8 @@ class ArenaError(Exception):
 
 
 def _require_valid(program: StrategyProgram, game: str, who: str) -> None:
+    if program.game == game:
+        return  # load_program validated it for this game
     report = validate(program.tree, game)
     if not report.ok:
         messages = "; ".join(d.message for d in report.errors())
@@ -181,61 +201,18 @@ def _eval_round(
 def play_match(
     pa: StrategyProgram, pb: StrategyProgram, cfg: MatchConfig = MatchConfig()
 ) -> MatchRecord:
-    """Run one full match; faults become fallback actions plus log entries."""
+    """Run one full match; faults become fallback actions plus log entries.
+
+    Programs not already loaded for cfg.game (see StrategyProgram.game) are
+    validated first.  One loop serves both games; only the step differs.
+    """
     _require_valid(pa, cfg.game, "A")
     _require_valid(pb, cfg.game, "B")
-    if cfg.game == GAME_IPD:
-        return _play_ipd(pa, pb, cfg)
-    return _play_coin(pa, pb, cfg)
-
-
-def _play_ipd(pa, pb, cfg) -> MatchRecord:
-    hist_a: list[str] = []
-    hist_b: list[str] = []
-    actions: list[tuple[str, str]] = []
-    deltas: list[tuple[int, int]] = []
-    faults: list[FaultRecord] = []
-    for r in range(cfg.rounds):
-        env_a = Bindings(
-            game=GAME_IPD,
-            my_history=tuple(hist_a),
-            opp_history=tuple(hist_b),
-            my_source=pa.text,
-            opp_source=pb.text,
-            round_index=r,
+    state = None  # coin game board; None for the IPD
+    if cfg.game == GAME_COIN:
+        state = games.initial_coin_state(
+            cfg.board_size, SplitMix64(derive_seed(cfg.seed, "init"))
         )
-        env_b = Bindings(
-            game=GAME_IPD,
-            my_history=tuple(hist_b),
-            opp_history=tuple(hist_a),
-            my_source=pb.text,
-            opp_source=pa.text,
-            round_index=r,
-        )
-        act_a, fault_a = _eval_round(pa, env_a, cfg, "A", r)
-        act_b, fault_b = _eval_round(pb, env_b, cfg, "B", r)
-        faults.extend(f for f in (fault_a, fault_b) if f is not None)
-        da, db = games.ipd_payoff(act_a, act_b, cfg.payoffs)
-        hist_a.append(act_a)
-        hist_b.append(act_b)
-        actions.append((act_a, act_b))
-        deltas.append((da, db))
-    totals = (sum(d[0] for d in deltas), sum(d[1] for d in deltas))
-    return MatchRecord(
-        cfg,
-        (pa.text, pb.text),
-        (pa.origin, pb.origin),
-        tuple(actions),
-        tuple(deltas),
-        totals,
-        tuple(faults),
-    )
-
-
-def _play_coin(pa, pb, cfg) -> MatchRecord:
-    state = games.initial_coin_state(
-        cfg.board_size, SplitMix64(derive_seed(cfg.seed, "init"))
-    )
     initial = state
     hist_a: list[str] = []
     hist_b: list[str] = []
@@ -243,37 +220,42 @@ def _play_coin(pa, pb, cfg) -> MatchRecord:
     deltas: list[tuple[int, int]] = []
     events: list[tuple[games.CoinEvent, ...]] = []
     faults: list[FaultRecord] = []
-    for step in range(cfg.rounds):
-        view_a = CoinView(state.pos_a, state.pos_b, state.coin_red, state.coin_blue, state.n)
-        view_b = CoinView(state.pos_b, state.pos_a, state.coin_blue, state.coin_red, state.n)
+    for r in range(cfg.rounds):
+        view_a = view_b = None
+        if state is not None:
+            view_a = CoinView(state.pos_a, state.pos_b, state.coin_red, state.coin_blue, state.n)
+            view_b = CoinView(state.pos_b, state.pos_a, state.coin_blue, state.coin_red, state.n)
         env_a = Bindings(
-            game=GAME_COIN,
+            game=cfg.game,
             my_history=tuple(hist_a),
             opp_history=tuple(hist_b),
             my_source=pa.text,
             opp_source=pb.text,
-            round_index=step,
+            round_index=r,
             coin_view=view_a,
         )
         env_b = Bindings(
-            game=GAME_COIN,
+            game=cfg.game,
             my_history=tuple(hist_b),
             opp_history=tuple(hist_a),
             my_source=pb.text,
             opp_source=pa.text,
-            round_index=step,
+            round_index=r,
             coin_view=view_b,
         )
-        move_a, fault_a = _eval_round(pa, env_a, cfg, "A", step)
-        move_b, fault_b = _eval_round(pb, env_b, cfg, "B", step)
+        act_a, fault_a = _eval_round(pa, env_a, cfg, "A", r)
+        act_b, fault_b = _eval_round(pb, env_b, cfg, "B", r)
         faults.extend(f for f in (fault_a, fault_b) if f is not None)
-        env_rng = SplitMix64(derive_seed(cfg.seed, "env", step))
-        state, da, db, step_events = games.coin_step(state, move_a, move_b, env_rng)
-        hist_a.append(move_a)
-        hist_b.append(move_b)
-        actions.append((move_a, move_b))
+        if state is None:
+            da, db = games.ipd_payoff(act_a, act_b, cfg.payoffs)
+        else:
+            env_rng = SplitMix64(derive_seed(cfg.seed, "env", r))
+            state, da, db, step_events = games.coin_step(state, act_a, act_b, env_rng)
+            events.append(tuple(step_events))
+        hist_a.append(act_a)
+        hist_b.append(act_b)
+        actions.append((act_a, act_b))
         deltas.append((da, db))
-        events.append(tuple(step_events))
     totals = (sum(d[0] for d in deltas), sum(d[1] for d in deltas))
     return MatchRecord(
         cfg,
@@ -294,25 +276,11 @@ def replay(record_dict: dict) -> MatchRecord:
         raise ArenaError(f"not a match record: {record_dict.get('schema')!r}")
     if record_dict.get("rng_algorithm") != RNG_ALGORITHM:
         raise ArenaError("record was produced with a different rng algorithm")
-    cfg_d = record_dict["config"]
-    kwargs = {
-        "game": cfg_d["game"],
-        "rounds": cfg_d["rounds"],
-        "seed": cfg_d["seed"],
-        "fallback": cfg_d["fallback"],
-        "budget": Budget(**cfg_d["budget"]),
-    }
-    if "payoffs" in cfg_d:
-        p = cfg_d["payoffs"]
-        kwargs["payoffs"] = games.PayoffParams(p["T"], p["R"], p["P"], p["S"])
-    if "board_size" in cfg_d:
-        kwargs["board_size"] = cfg_d["board_size"]
-    cfg = MatchConfig(**kwargs)
-    from .program import load_program
-
-    players = record_dict["players"]
-    pa = load_program(players[0]["source"], origin=players[0]["origin"], game=cfg.game)
-    pb = load_program(players[1]["source"], origin=players[1]["origin"], game=cfg.game)
+    cfg = MatchConfig.from_json_dict(record_dict["config"])
+    pa, pb = (
+        load_program(p["source"], origin=p["origin"], game=cfg.game)
+        for p in record_dict["players"]
+    )
     return play_match(pa, pb, cfg)
 
 
@@ -343,8 +311,6 @@ class RoundRobinTable:
 def _pair_job(args) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """One ordered pairing's matches (top level so worker pools can run it)."""
     i, j, source_i, source_j, cfg, seeds = args
-    from .program import load_program
-
     pi = load_program(source_i, game=cfg.game)
     pj = load_program(source_j, game=cfg.game)
     cell = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -85,11 +86,11 @@ def _match_config(args) -> MatchConfig:
         return MatchConfig(
             game=args.game,
             rounds=rounds,
-            payoffs=_payoffs_from(getattr(args, "payoffs", None)),
+            payoffs=_payoffs_from(args.payoffs),
             budget=Budget(step_limit=args.step_limit),
             fallback=getattr(args, "fallback", None),
             seed=args.seed,
-            board_size=getattr(args, "board_size", 3),
+            board_size=args.board_size,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -135,15 +136,7 @@ def cmd_meta(args) -> int:
             prov_b = provider_from_spec(spec["b"], "b")
         except (ProviderError, OSError) as exc:
             raise CliError(str(exc)) from exc
-        cfg = MatchConfig(
-            game=base_cfg.game,
-            rounds=base_cfg.rounds,
-            payoffs=base_cfg.payoffs,
-            budget=base_cfg.budget,
-            fallback=base_cfg.fallback,
-            seed=seed,
-            board_size=base_cfg.board_size,
-        )
+        cfg = dataclasses.replace(base_cfg, seed=seed)
         try:
             record = run_meta_game(prov_a, prov_b, args.meta_rounds, cfg)
         except (MetaGameError, ProviderError) as exc:
@@ -187,12 +180,8 @@ def _label_one(path_str: str, rounds: int, seed: int, trials: int | None):
     label = labeling.label_cooperative(program, rounds, seed)
     payload = {
         "id": path.stem,
-        "cooperative": label.cooperative,
         "stochastic": labeling.is_stochastic(program),
-        "trace": list(label.trace),
-        "rounds": label.rounds,
-        "seed": label.seed,
-        "fault": label.fault.to_json_dict() if label.fault else None,
+        **label.to_json_dict(),
     }
     if trials:
         payload["cooperation_rate"] = labeling.cooperation_rate(
@@ -457,6 +446,8 @@ def _add_match_options(p, game_default: str = GAME_IPD, rounds_default: int = 10
     p.add_argument("--step-limit", type=int, default=Budget().step_limit,
                    help="interpreter step budget per invocation")
     p.add_argument("--config", help="JSON file of option defaults")
+    p.add_argument("--payoffs", help="T,R,P,S override (default 5,3,1,0)")
+    p.add_argument("--board-size", type=int, default=3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,34 +457,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"osgames {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("match", help="play one match between two programs")
     p.add_argument("program_a")
     p.add_argument("program_b")
     _add_match_options(p)
     p.add_argument("--steps", type=int, help="coin game steps (alias for --rounds)")
-    p.add_argument("--payoffs", help="T,R,P,S override (default 5,3,1,0)")
     p.add_argument("--fallback", help="action substituted on a runtime fault")
-    p.add_argument("--board-size", type=int, default=3)
     p.add_argument("--out", help="match record path (default match.json)")
     p.set_defaults(func=cmd_match)
-    registry["match"] = p
 
     p = sub.add_parser("meta", help="run a repeated open-source game")
     p.add_argument("providers", help="JSON config naming providers 'a' and 'b'")
     _add_match_options(p)
     p.add_argument("--steps", type=int, help="coin game steps (alias for --rounds)")
-    p.add_argument("--payoffs")
     p.add_argument("--fallback")
-    p.add_argument("--board-size", type=int, default=3)
     p.add_argument("--meta-rounds", type=int, default=10)
     p.add_argument("--seeds", type=int, default=1,
                    help="number of independent runs (seed, seed+1, ...)")
     p.add_argument("--judge-labels", help="sidecar JSON of judge feature labels")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_meta)
-    registry["meta"] = p
 
     p = sub.add_parser("label", help="label a corpus of programs for cooperation")
     p.add_argument("corpus", help="directory of .slang files")
@@ -507,13 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--config", help="JSON file of option defaults")
     p.set_defaults(func=cmd_label)
-    registry["label"] = p
 
     p = sub.add_parser("metrics", help="print complexity and taint metrics")
     p.add_argument("program")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_metrics)
-    registry["metrics"] = p
 
     p = sub.add_parser("transform", help="strip, mask or obfuscate a program")
     p.add_argument("kind", choices=("strip", "mask", "obfuscate"))
@@ -521,25 +503,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_transform)
-    registry["transform"] = p
 
     p = sub.add_parser("tournament", help="round-robin mean-payoff table")
     p.add_argument("programs", nargs="+")
     _add_match_options(p)
-    p.add_argument("--payoffs")
-    p.add_argument("--board-size", type=int, default=3)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tournament)
-    registry["tournament"] = p
 
     p = sub.add_parser("evolve", help="replicator dynamics from a matrix or programs")
     p.add_argument("programs", nargs="*")
     p.add_argument("--matrix", help="payoff matrix JSON file")
     _add_match_options(p, rounds_default=evolution.EVOLUTION_ROUNDS)
-    p.add_argument("--payoffs")
-    p.add_argument("--board-size", type=int, default=3)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--x0", help="start population a,b,c (default uniform)")
     p.add_argument("--dt", type=float, default=0.01)
@@ -548,21 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=20)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_evolve)
-    registry["evolve"] = p
 
     p = sub.add_parser("flow", help="export a replicator flow field as CSV")
     p.add_argument("programs", nargs="*")
     p.add_argument("--matrix")
     _add_match_options(p, rounds_default=evolution.EVOLUTION_ROUNDS)
-    p.add_argument("--payoffs")
-    p.add_argument("--board-size", type=int, default=3)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--resolution", type=int, default=20)
     p.add_argument("--out")
     p.set_defaults(func=cmd_flow)
-    registry["flow"] = p
 
-    parser.set_defaults(_registry=registry)
+    parser.set_defaults(_registry=sub.choices)
     return parser
 
 

@@ -10,6 +10,7 @@ variant's behaviour diverges from the original.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,9 @@ COOPERATOR_SOURCE = 'fn strategy() {\n    return "C"\n}\n'
 VARIANTS = ("unmasked", "masked", "obfuscated")
 
 
+@functools.cache
 def cooperator_program() -> StrategyProgram:
+    """The pure cooperator, parsed once (programs are immutable)."""
     return load_program(COOPERATOR_SOURCE, origin="<cooperator>")
 
 
@@ -135,13 +138,10 @@ def build_benchmark(
         program = load_program(source, game=GAME_IPD)
         variants = make_variants(source, derive_seed(seed, "obfuscate", item_id))
         label_seed = derive_seed(seed, "label", item_id)
-        labels = {
-            name: label_cooperative(load_program(text, game=GAME_IPD), rounds, label_seed)
-            for name, text in variants.items()
-        }
-        reference = labels["unmasked"]
+        reference = label_cooperative(program, rounds, label_seed)
         for name in ("masked", "obfuscated"):
-            if labels[name].trace != reference.trace:
+            variant = load_program(variants[name], game=GAME_IPD)
+            if label_cooperative(variant, rounds, label_seed).trace != reference.trace:
                 raise TransformViolation(
                     f"{item_id}: {name} variant trace diverged from the original"
                 )

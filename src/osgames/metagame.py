@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .arena import MatchConfig, MatchRecord, play_match
-from .program import ProgramError, load_program
+from .program import ProgramError, StrategyProgram, load_program
 from .providers import ProposalContext, Provider, ProviderError
 from .rng import RNG_ALGORITHM, derive_seed
+from .slang.tokens import SourceText
 
 SCHEMA_META = "osgames.meta/1"
 
@@ -120,50 +121,49 @@ def run_meta_game(
             p.close()
         raise
     rounds: list[MetaRound] = []
-    previous_sources: list[str | None] = [None, None]
+    previous: list[StrategyProgram | None] = [None, None]
     try:
         for k in range(1, meta_rounds + 1):
-            sources: list[str] = []
+            programs: list[StrategyProgram] = []
             faults: list[str] = []
-            seen_previous: list[str | None] = [None, None]
+            # what each provider sees: the opponent's previous source
+            seen_previous = tuple(p.text if p else None for p in reversed(previous))
             for me, provider in enumerate(providers):
-                opp_prev = previous_sources[1 - me]
-                seen_previous[me] = opp_prev
                 ctx = ProposalContext(
                     game=cfg.game,
                     meta_round=k,
                     history=_history_for(rounds, me),
-                    opponent_previous_source=opp_prev,
+                    opponent_previous_source=seen_previous[me],
                 )
-                source = None
+                origin = f"{provider.provider_id}@r{k}"
                 try:
-                    text = provider.propose(ctx)
-                    load_program(text, origin=f"{provider.provider_id}@r{k}", game=cfg.game)
-                    source = text
+                    program = load_program(provider.propose(ctx), origin=origin, game=cfg.game)
                 except (ProviderError, ProgramError) as exc:
-                    if previous_sources[me] is None:
+                    if previous[me] is None:
                         raise MetaGameError(
                             f"provider {provider.provider_id} failed in meta-round 1: {exc}"
                         ) from exc
                     faults.append(
                         f"{provider.provider_id}: {exc}; reusing previous source"
                     )
-                    source = previous_sources[me]
-                sources.append(source)
-            pa = load_program(sources[0], origin=f"{prov_a.provider_id}@r{k}", game=cfg.game)
-            pb = load_program(sources[1], origin=f"{prov_b.provider_id}@r{k}", game=cfg.game)
+                    # the reused program plays under this round's origin
+                    program = replace(
+                        previous[me], source=SourceText(previous[me].text, origin)
+                    )
+                programs.append(program)
+            pa, pb = programs
             match_cfg = replace(cfg, seed=derive_seed(cfg.seed, "meta", k))
             match = play_match(pa, pb, match_cfg)
             rounds.append(
                 MetaRound(
                     k,
-                    (sources[0], sources[1]),
-                    (seen_previous[0], seen_previous[1]),
+                    (pa.text, pb.text),
+                    seen_previous,
                     tuple(faults),
                     match,
                 )
             )
-            previous_sources = [sources[0], sources[1]]
+            previous = programs
     finally:
         for p in providers:
             p.close()

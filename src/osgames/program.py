@@ -25,6 +25,7 @@ class ProgramError(Exception):
 class StrategyProgram:
     source: SourceText
     tree: nodes.Program
+    game: str | None = None  # the game load_program validated it for, if any
 
     @property
     def text(self) -> str:
@@ -59,7 +60,7 @@ def load_program(
         if not report.ok:
             lines = [_describe(src, d.span, d.message) for d in report.errors()]
             raise ProgramError("\n".join(lines))
-    return StrategyProgram(src, tree)
+    return StrategyProgram(src, tree, game)
 
 
 def load_program_file(path: str | Path, game: str | None = GAME_IPD) -> StrategyProgram:

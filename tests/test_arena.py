@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from osgames import arena
 from osgames.arena import ArenaError, MatchConfig, PLAYER_IDS, play_match, replay, round_robin
 from osgames.fixtures import load_fixture
+from osgames.games import PayoffParams
 from osgames.program import ProgramError, load_program
 from osgames.runio import canonical_json_bytes
+from osgames.runtime import Budget
+from osgames.slang.validator import validate
 
 
 def test_allc_vs_alld_totals(allc, alld):
@@ -67,6 +72,34 @@ def test_invalid_program_rejected_before_play(allc):
     bad = load_program("fn strategy() {\n    return my_pos()\n}\n", game=None)
     with pytest.raises(ProgramError):
         play_match(bad, allc, MatchConfig())
+
+
+def test_play_match_validates_only_programs_not_loaded_for_its_game(monkeypatch, allc, alld):
+    calls = []
+
+    def counting_validate(tree, game):
+        calls.append(game)
+        return validate(tree, game)
+
+    monkeypatch.setattr(arena, "validate", counting_validate)
+    play_match(allc, alld, MatchConfig())
+    assert calls == []
+    unchecked = load_program(allc.text, game=None)
+    play_match(unchecked, alld, MatchConfig())
+    assert calls == ["ipd"]
+
+
+def test_config_json_round_trip_off_defaults():
+    ipd = MatchConfig(
+        rounds=7,
+        payoffs=PayoffParams(6, 4, 2, 1),
+        budget=Budget(step_limit=500, call_depth_limit=9, list_length_cap=33),
+        seed=13,
+    )
+    coin = MatchConfig(game="coin", rounds=5, fallback="LEFT", seed=2, board_size=4)
+    for cfg in (ipd, coin):
+        back = MatchConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+        assert back == replace(cfg, fallback=cfg.fallback_action)
 
 
 def test_replay_reproduces_record_bytes(tft, alld):

@@ -109,6 +109,7 @@ def test_invalid_source_reuses_previous():
     assert record.rounds[1].provider_faults  # fault recorded
     assert record.rounds[1].sources[0] == ALLC  # previous source reused
     assert record.rounds[1].match.totals == (30, 30)
+    assert record.rounds[1].match.origins[0] == "a@r2"
 
 
 def test_round_one_failure_aborts():
