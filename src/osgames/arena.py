@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from . import games
 from .program import ProgramError, StrategyProgram, load_program
 from .rng import RNG_ALGORITHM, SplitMix64, derive_seed
-from .runtime import Bindings, Budget, CoinView, RuntimeFault, evaluate
+from .runtime import Bindings, Budget, CoinView, RuntimeFault, can_draw, evaluate
 from .slang.validator import GAME_COIN, GAME_IPD, GAMES, validate
 
 SCHEMA_MATCH = "osgames.match/1"
@@ -183,7 +183,9 @@ def _eval_round(
     player: str,
     round_index: int,
 ) -> tuple[str, FaultRecord | None]:
-    rng = SplitMix64(derive_seed(cfg.seed, "eval", player, round_index))
+    rng = None  # a program that cannot draw never touches its stream
+    if can_draw(program.tree):
+        rng = SplitMix64(derive_seed(cfg.seed, "eval", player, round_index))
     try:
         value, _ = evaluate(program.tree, env, cfg.budget, rng)
         return value, None

@@ -80,8 +80,9 @@ def _payoffs_from(arg: str | None):
 
 def _match_config(args) -> MatchConfig:
     rounds = args.rounds
-    if args.game == "coin" and getattr(args, "steps", None) is not None:
-        rounds = args.steps
+    # Only match and meta have the coin alias; evolve's --steps is for RK4.
+    if args.game == "coin" and getattr(args, "coin_steps", None) is not None:
+        rounds = args.coin_steps
     try:
         return MatchConfig(
             game=args.game,
@@ -462,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program_a")
     p.add_argument("program_b")
     _add_match_options(p)
-    p.add_argument("--steps", type=int, help="coin game steps (alias for --rounds)")
+    p.add_argument("--steps", type=int, dest="coin_steps",
+                   help="coin game steps (alias for --rounds)")
     p.add_argument("--fallback", help="action substituted on a runtime fault")
     p.add_argument("--out", help="match record path (default match.json)")
     p.set_defaults(func=cmd_match)
@@ -470,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("meta", help="run a repeated open-source game")
     p.add_argument("providers", help="JSON config naming providers 'a' and 'b'")
     _add_match_options(p)
-    p.add_argument("--steps", type=int, help="coin game steps (alias for --rounds)")
+    p.add_argument("--steps", type=int, dest="coin_steps",
+                   help="coin game steps (alias for --rounds)")
     p.add_argument("--fallback")
     p.add_argument("--meta-rounds", type=int, default=10)
     p.add_argument("--seeds", type=int, default=1,

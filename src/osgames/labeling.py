@@ -18,10 +18,11 @@ from .arena import FaultRecord, MatchConfig, play_match
 from .program import StrategyProgram, load_program
 from .rng import SplitMix64, derive_seed
 from .runio import atomic_write_json, atomic_write_text
+from .runtime import can_draw
 from .slang import nodes as n
 from .slang.render import render
 from .slang.tokens import SourceText
-from .slang.validator import BUILTINS, GAME_IPD
+from .slang.validator import GAME_IPD
 from .transforms import mask, obfuscate, strip_comments
 
 #: Seed used when no explicit labeling seed is given; part of the label.
@@ -104,13 +105,7 @@ def cooperation_rate(
 
 def is_stochastic(program: StrategyProgram | n.Program) -> bool:
     """Syntactic test: does the tree call a randomness builtin anywhere?"""
-    tree = program.tree if isinstance(program, StrategyProgram) else program
-    for expr in n.walk_program_exprs(tree):
-        if isinstance(expr, n.Call):
-            sig = BUILTINS.get(expr.name)
-            if sig is not None and sig.stochastic:
-                return True
-    return False
+    return can_draw(program.tree if isinstance(program, StrategyProgram) else program)
 
 
 def make_variants(source: SourceText, seed: int) -> dict[str, SourceText]:

@@ -23,10 +23,17 @@ import json
 import queue
 import subprocess
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT = 60.0
+
+#: The transcript keeps the last few messages, each cut to a fixed length:
+#: propose messages carry the whole meta-history, so keeping them all grows
+#: with the square of the number of meta-rounds.
+TRANSCRIPT_MESSAGES = 8
+TRANSCRIPT_MESSAGE_CHARS = 2000
 
 
 class ProviderError(Exception):
@@ -125,11 +132,19 @@ class ExternalProvider(Provider):
 
     _process: subprocess.Popen | None = None
     _reader: _LineReader | None = None
-    _transcript: list[str] = field(default_factory=list)
+    _transcript: deque[str] = field(
+        default_factory=lambda: deque(maxlen=TRANSCRIPT_MESSAGES)
+    )
 
     @property
     def transcript(self) -> list[str]:
+        """The last TRANSCRIPT_MESSAGES messages, each cut to a fixed length."""
         return list(self._transcript)
+
+    def _note(self, message: str) -> None:
+        if len(message) > TRANSCRIPT_MESSAGE_CHARS:
+            message = message[:TRANSCRIPT_MESSAGE_CHARS] + "…"
+        self._transcript.append(message)
 
     def start(self, game: str) -> None:
         if not self.command:
@@ -154,20 +169,20 @@ class ExternalProvider(Provider):
         if reply.get("type") != "ready":
             raise ProviderError(
                 f"agent handshake failed, expected ready, got {reply!r};"
-                f" transcript: {self._transcript}"
+                f" transcript: {self.transcript}"
             )
 
     def _exchange(self, message: dict) -> dict:
         assert self._process is not None and self._reader is not None
         line = json.dumps(message, sort_keys=True)
-        self._transcript.append(f"-> {line}")
+        self._note(f"-> {line}")
         try:
             self._process.stdin.write(line + "\n")
             self._process.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ProviderError(f"agent pipe closed: {exc}") from exc
         raw = self._reader.readline(self.timeout)
-        self._transcript.append(f"<- {raw.rstrip()}")
+        self._note(f"<- {raw.rstrip()}")
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Deterministic tree-walking evaluator with resource budgets.
+"""Deterministic evaluator with resource budgets.
 
 A program is run once per round against a set of ambient bindings (its own
 and the opponent's history and source, the round index, and for the grid
@@ -9,18 +9,26 @@ and nothing in the bindings can be mutated from inside the language.
 SLANG values map to Python values: integers/booleans/strings to themselves,
 lists to Python lists (never mutated), pairs to 2-tuples, and a unit
 singleton for functions that fall off the end.
+
+A tree is compiled once, on its first evaluation, into nested Python
+closures with operator dispatch, call targets and builtins resolved; the
+compiled form is kept on the tree object and reused for every later round.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from . import games
+from ._stack import stack_headroom
 from .rng import SplitMix64
 from .slang import nodes as n
+from .slang.parser import MAX_TREE_DEPTH
 from .slang.tokens import Span
-from .slang.validator import BUILTINS, GAME_COIN, GAME_IPD
+from .slang.validator import AMBIENT_BINDINGS, BUILTINS, GAME_COIN, GAME_IPD
 
 
 #: Magnitude caps on produced values; they exist to stop exponential-growth
@@ -136,366 +144,683 @@ def legal_actions(game: str) -> tuple[str, ...]:
     return games.IPD_ACTIONS if game == GAME_IPD else games.MOVES
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value, span: Span):
-        self.value = value
-        self.span = span
+# --------------------------------------------------------------------------
+# compilation
+#
+# Each tree is compiled once into Python closures, cached on the tree object
+# itself (never keyed by node equality, which ignores spans).  A closure
+# takes (ctx, frame): the per-evaluation state and the current function's
+# variables.  Every expression closure charges one step before its
+# sub-expressions, every statement closure one step before its parts, and
+# every loop one more step after each iteration; faults carry the steps
+# charged so far.  Statement closures return None, or the value of a
+# `return` they executed.
 
 
-class _Interp:
-    def __init__(self, tree: n.Program, env: Bindings, budget: Budget, rng: SplitMix64):
-        self.funcs = {d.name: d for d in tree.defs}
-        self.env = env
-        self.budget = budget
-        self.rng = rng
-        self.steps = 0
-        self.depth = 0
-        self.stmt_spans: list[Span] = [tree.span]
-        self.ambient = {
-            "my_history": list(env.my_history),
-            "opp_history": list(env.opp_history),
-            "my_source": env.my_source,
-            "opp_source": env.opp_source,
-            "round_index": env.round_index,
-        }
+class _OutOfSteps(Exception):
+    """A step past the budget; the innermost running statement locates it."""
 
-    # -- faults -------------------------------------------------------------
 
-    def fault(self, kind: FaultKind, span: Span, detail: str):
-        raise RuntimeFault(kind, span, detail, steps=self.steps)
+class _Ctx:
+    """The mutable state of one evaluation."""
 
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.budget.step_limit:
-            self.fault(
-                FaultKind.STEP_BUDGET,
-                self.stmt_spans[-1],
-                f"exceeded {self.budget.step_limit} steps",
-            )
+    __slots__ = (
+        "left", "limit", "calls_left", "depth_limit", "list_cap", "rng", "view", "ret_span",
+        "my_history", "opp_history", "my_source", "opp_source", "round_index",
+    )
 
-    # -- execution ------------------------------------------------------------
 
-    def run(self):
-        entry = self.funcs[n.ENTRY_POINT]
-        value, span = self.call_function(entry, [], entry.span)
-        legal = legal_actions(self.env.game)
-        if type(value) is not str or value not in legal:
-            self.fault(
-                FaultKind.INVALID_RETURN,
-                span,
-                f"strategy returned {_show(value)}, expected one of {list(legal)}",
-            )
-        return value, self.steps
+def _fault(ctx: _Ctx, kind: FaultKind, span: Span, detail: str):
+    raise RuntimeFault(kind, span, detail, steps=ctx.limit - ctx.left)
 
-    def call_function(self, func: n.FuncDef, args: list, call_span: Span):
-        self.depth += 1
-        if self.depth > self.budget.call_depth_limit:
-            self.fault(
-                FaultKind.CALL_DEPTH,
-                call_span,
-                f"exceeded call depth {self.budget.call_depth_limit}",
-            )
-        frame = dict(zip(func.params, args))
-        try:
-            self.exec_block(func.body, frame)
-        except _ReturnSignal as sig:
-            return sig.value, sig.span
-        finally:
-            self.depth -= 1
-        return UNIT, func.span
 
-    def exec_block(self, block: n.Block, frame: dict):
-        for stmt in block:
-            self.exec_stmt(stmt, frame)
+def _out_of_steps(ctx: _Ctx, span: Span) -> RuntimeFault:
+    return RuntimeFault(
+        FaultKind.STEP_BUDGET, span, f"exceeded {ctx.limit} steps", steps=ctx.limit + 1
+    )
 
-    def exec_stmt(self, stmt: n.Stmt, frame: dict):
-        self.stmt_spans.append(stmt.span)
-        try:
-            self.tick()
-            if isinstance(stmt, n.Let) or isinstance(stmt, n.Assign):
-                value = self.eval_expr(stmt.value, frame)
-                if isinstance(stmt, n.Assign) and stmt.name not in frame:
-                    self.fault(
-                        FaultKind.TYPE_ERROR,
-                        stmt.name_span,
-                        f"assignment to unbound variable '{stmt.name}'",
-                    )
-                frame[stmt.name] = value
-            elif isinstance(stmt, n.Return):
-                raise _ReturnSignal(self.eval_expr(stmt.value, frame), stmt.span)
-            elif isinstance(stmt, n.ExprStmt):
-                self.eval_expr(stmt.value, frame)
-            elif isinstance(stmt, n.If):
-                for cond, body in stmt.arms:
-                    if self.eval_condition(cond, frame):
-                        self.exec_block(body, frame)
-                        return
-                if stmt.orelse is not None:
-                    self.exec_block(stmt.orelse, frame)
-            elif isinstance(stmt, n.While):
-                while self.eval_condition(stmt.cond, frame):
-                    self.exec_block(stmt.body, frame)
-                    self.tick()
-            elif isinstance(stmt, n.For):
-                iterable = self.eval_expr(stmt.iterable, frame)
-                if type(iterable) is not list:
-                    self.fault(
-                        FaultKind.TYPE_ERROR,
-                        stmt.iterable.span,
-                        f"for-in expects a list, got {type_name(iterable)}",
-                    )
-                for item in iterable:
-                    frame[stmt.var] = item
-                    self.exec_block(stmt.body, frame)
-                    self.tick()
-            else:  # pragma: no cover - statements are exhaustive
-                raise TypeError(f"unknown statement {stmt!r}")
-        finally:
-            self.stmt_spans.pop()
 
-    def eval_condition(self, expr: n.Expr, frame: dict) -> bool:
-        value = self.eval_expr(expr, frame)
-        if type(value) is not bool:
-            self.fault(
-                FaultKind.TYPE_ERROR,
-                expr.span,
-                f"condition must be boolean, got {type_name(value)}",
-            )
-        return value
+def _type_fault(ctx: _Ctx, span: Span, detail: str):
+    _fault(ctx, FaultKind.TYPE_ERROR, span, detail)
 
-    # -- expressions --------------------------------------------------------
 
-    def eval_expr(self, expr: n.Expr, frame: dict):
-        self.tick()
-        if isinstance(expr, n.IntLit):
-            return self.check_int_cap(expr.value, expr.span)
-        if isinstance(expr, (n.StrLit, n.BoolLit)):
-            return expr.value
-        if isinstance(expr, n.Var):
-            if expr.name in frame:
-                return frame[expr.name]
-            if expr.name in self.ambient:
-                return self.ambient[expr.name]
-            self.fault(
-                FaultKind.TYPE_ERROR, expr.span, f"unbound variable '{expr.name}'"
-            )
-        if isinstance(expr, n.ListLit):
-            items = [self.eval_expr(item, frame) for item in expr.items]
-            return self.check_list_cap(items, expr.span)
-        if isinstance(expr, n.PairLit):
-            return (self.eval_expr(expr.first, frame), self.eval_expr(expr.second, frame))
-        if isinstance(expr, n.Unary):
-            return self.eval_unary(expr, frame)
-        if isinstance(expr, n.Binary):
-            return self.eval_binary(expr, frame)
-        if isinstance(expr, n.Index):
-            return self.eval_index(expr, frame)
-        if isinstance(expr, n.Call):
-            return self.eval_call(expr, frame)
+#: |value| at or above this exceeds MAX_INT_BITS.
+_INT_LIMIT = 1 << MAX_INT_BITS
+
+
+def _int_cap_fault(ctx: _Ctx, span: Span):
+    _type_fault(ctx, span, f"integer magnitude cap (2^{MAX_INT_BITS}) exceeded")
+
+
+def _list_cap_fault(ctx: _Ctx, span: Span):
+    _type_fault(ctx, span, f"list length cap {ctx.list_cap} exceeded")
+
+
+def _no_op(ctx, frame):
+    return None
+
+
+class _Function:
+    __slots__ = ("params", "span", "body")
+
+    def __init__(self, d: n.FuncDef):
+        self.params = d.params
+        self.span = d.span
+        self.body = _no_op  # set once every function is known (recursion)
+
+
+class _Compiled:
+    """A tree compiled to closures: its functions by name, and whether it
+    calls a randomness builtin anywhere."""
+
+    def __init__(self, tree: n.Program):
+        self.functions = {d.name: _Function(d) for d in tree.defs}
+        self.can_draw = False
+        for d in tree.defs:  # of duplicate names the last wins, body too
+            self.functions[d.name].body = self.block(d.body)
+
+    # -- statements -----------------------------------------------------------
+
+    def block(self, stmts: n.Block):
+        run = tuple(self.stmt(s) for s in stmts)
+        if not run:
+            return _no_op
+        if len(run) == 1:
+            return run[0]
+
+        def block(ctx, frame):
+            for stmt in run:
+                value = stmt(ctx, frame)
+                if value is not None:
+                    return value
+            return None
+
+        return block
+
+    def stmt(self, stmt: n.Stmt):
+        span = stmt.span
+        kind = type(stmt)
+        if kind is n.Let:
+            return self.let(stmt, span)
+        if kind is n.Assign:
+            return self.assign(stmt, span)
+        if kind is n.Return:
+            return self.return_(stmt, span)
+        if kind is n.ExprStmt:
+            return self.expr_stmt(stmt, span)
+        if kind is n.If:
+            return self.if_(stmt, span)
+        if kind is n.While:
+            return self.while_(stmt, span)
+        if kind is n.For:
+            return self.for_(stmt, span)
+        raise TypeError(f"unknown statement {stmt!r}")  # pragma: no cover
+
+    def expr_stmt(self, stmt: n.ExprStmt, span: Span):
+        value = self.expr(stmt.value)
+
+        def expr_stmt(ctx, frame):
+            try:
+                ctx.left -= 1
+                if ctx.left < 0:
+                    raise _OutOfSteps
+                value(ctx, frame)
+            except _OutOfSteps:
+                raise _out_of_steps(ctx, span) from None
+
+        return expr_stmt
+
+    def let(self, stmt: n.Let, span: Span):
+        name = stmt.name
+        value = self.expr(stmt.value)
+
+        def let(ctx, frame):
+            try:
+                ctx.left -= 1
+                if ctx.left < 0:
+                    raise _OutOfSteps
+                frame[name] = value(ctx, frame)
+            except _OutOfSteps:
+                raise _out_of_steps(ctx, span) from None
+
+        return let
+
+    def assign(self, stmt: n.Assign, span: Span):
+        name = stmt.name
+        name_span = stmt.name_span
+        value = self.expr(stmt.value)
+
+        def assign(ctx, frame):
+            try:
+                ctx.left -= 1
+                if ctx.left < 0:
+                    raise _OutOfSteps
+                result = value(ctx, frame)
+            except _OutOfSteps:
+                raise _out_of_steps(ctx, span) from None
+            if name not in frame:
+                _type_fault(ctx, name_span, f"assignment to unbound variable '{name}'")
+            frame[name] = result
+
+        return assign
+
+    def return_(self, stmt: n.Return, span: Span):
+        value = self.expr(stmt.value)
+
+        def return_(ctx, frame):
+            try:
+                ctx.left -= 1
+                if ctx.left < 0:
+                    raise _OutOfSteps
+                result = value(ctx, frame)
+            except _OutOfSteps:
+                raise _out_of_steps(ctx, span) from None
+            # The last return to finish is the strategy's own, if it has one.
+            ctx.ret_span = span
+            return result
+
+        return return_
+
+    def if_(self, stmt: n.If, span: Span):
+        arms = tuple(
+            (self.expr(cond), cond.span, self.block(body))
+            for cond, body in stmt.arms
+        )
+        orelse = _no_op if stmt.orelse is None else self.block(stmt.orelse)
+
+        def if_(ctx, frame):
+            try:
+                ctx.left -= 1
+                if ctx.left < 0:
+                    raise _OutOfSteps
+                for cond, cond_span, body in arms:
+                    test = cond(ctx, frame)
+                    if test is True:
+                        return body(ctx, frame)
+                    if test is not False:
+                        _condition_fault(ctx, cond_span, test)
+                return orelse(ctx, frame)
+            except _OutOfSteps:
+                raise _out_of_steps(ctx, span) from None
+
+        return if_
+
+    def while_(self, stmt: n.While, span: Span):
+        cond = self.expr(stmt.cond)
+        cond_span = stmt.cond.span
+        body = self.block(stmt.body)
+
+        def while_(ctx, frame):
+            try:
+                ctx.left -= 1
+                if ctx.left < 0:
+                    raise _OutOfSteps
+                while True:
+                    test = cond(ctx, frame)
+                    if test is not True:
+                        if test is False:
+                            return None
+                        _condition_fault(ctx, cond_span, test)
+                    result = body(ctx, frame)
+                    if result is not None:
+                        return result
+                    ctx.left -= 1
+                    if ctx.left < 0:
+                        raise _OutOfSteps
+            except _OutOfSteps:
+                raise _out_of_steps(ctx, span) from None
+
+        return while_
+
+    def for_(self, stmt: n.For, span: Span):
+        var = stmt.var
+        iterable = self.expr(stmt.iterable)
+        iterable_span = stmt.iterable.span
+        body = self.block(stmt.body)
+
+        def for_(ctx, frame):
+            try:
+                ctx.left -= 1
+                if ctx.left < 0:
+                    raise _OutOfSteps
+                items = iterable(ctx, frame)
+                if type(items) is not list:
+                    detail = f"for-in expects a list, got {type_name(items)}"
+                    _type_fault(ctx, iterable_span, detail)
+                for item in items:
+                    frame[var] = item
+                    result = body(ctx, frame)
+                    if result is not None:
+                        return result
+                    ctx.left -= 1
+                    if ctx.left < 0:
+                        raise _OutOfSteps
+                return None
+            except _OutOfSteps:
+                raise _out_of_steps(ctx, span) from None
+
+        return for_
+
+    # -- expressions ------------------------------------------------------------
+
+    def expr(self, expr: n.Expr):
+        kind = type(expr)
+        if kind is n.IntLit:
+            if expr.value.bit_length() > MAX_INT_BITS:
+                return self.int_cap_fault(expr.span)
+            return _constant(expr.value)
+        if kind is n.StrLit or kind is n.BoolLit:
+            return _constant(expr.value)
+        if kind is n.Var:
+            return _variable(expr.name, expr.span)
+        if kind is n.ListLit:
+            return self.list_lit(expr)
+        if kind is n.PairLit:
+            return self.pair_lit(expr)
+        if kind is n.Unary:
+            return self.unary(expr)
+        if kind is n.Binary:
+            return self.binary(expr)
+        if kind is n.Index:
+            return self.index(expr)
+        if kind is n.Call:
+            return self.call(expr)
         raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
 
-    def check_list_cap(self, items: list, span: Span) -> list:
-        if len(items) > self.budget.list_length_cap:
-            self.fault(
-                FaultKind.TYPE_ERROR,
-                span,
-                f"list length cap {self.budget.list_length_cap} exceeded",
-            )
-        return items
+    def int_cap_fault(self, span: Span):
+        def int_cap_fault(ctx, frame):
+            ctx.left -= 1
+            if ctx.left < 0:
+                raise _OutOfSteps
+            _int_cap_fault(ctx, span)
 
-    def check_int_cap(self, value: int, span: Span) -> int:
-        if value.bit_length() > MAX_INT_BITS:
-            self.fault(
-                FaultKind.TYPE_ERROR,
-                span,
-                f"integer magnitude cap (2^{MAX_INT_BITS}) exceeded",
-            )
-        return value
+        return int_cap_fault
 
-    def eval_unary(self, expr: n.Unary, frame: dict):
-        value = self.eval_expr(expr.operand, frame)
-        if expr.op == "-":
-            if type(value) is not int:
-                self.fault(
-                    FaultKind.TYPE_ERROR,
-                    expr.span,
-                    f"unary '-' needs an integer, got {type_name(value)}",
-                )
-            return -value
-        if type(value) is not bool:
-            self.fault(
-                FaultKind.TYPE_ERROR,
-                expr.span,
-                f"'not' needs a boolean, got {type_name(value)}",
-            )
-        return not value
-
-    def eval_binary(self, expr: n.Binary, frame: dict):
-        op = expr.op
-        if op in ("and", "or"):
-            left = self.eval_expr(expr.left, frame)
-            if type(left) is not bool:
-                self.fault(
-                    FaultKind.TYPE_ERROR,
-                    expr.left.span,
-                    f"'{op}' needs booleans, got {type_name(left)}",
-                )
-            if (op == "and" and not left) or (op == "or" and left):
-                return left
-            right = self.eval_expr(expr.right, frame)
-            if type(right) is not bool:
-                self.fault(
-                    FaultKind.TYPE_ERROR,
-                    expr.right.span,
-                    f"'{op}' needs booleans, got {type_name(right)}",
-                )
-            return right
-
-        left = self.eval_expr(expr.left, frame)
-        right = self.eval_expr(expr.right, frame)
-        if op == "==":
-            return slang_eq(left, right)
-        if op == "!=":
-            return not slang_eq(left, right)
-        if op == "+":
-            if type(left) is int and type(right) is int:
-                return self.check_int_cap(left + right, expr.span)
-            if type(left) is str and type(right) is str:
-                if len(left) + len(right) > MAX_STRING_LENGTH:
-                    self.fault(
-                        FaultKind.TYPE_ERROR,
-                        expr.span,
-                        f"string length cap {MAX_STRING_LENGTH} exceeded",
-                    )
-                return left + right
-            if type(left) is list and type(right) is list:
-                return self.check_list_cap(left + right, expr.span)
-            self.fault(
-                FaultKind.TYPE_ERROR,
-                expr.span,
-                f"'+' cannot combine {type_name(left)} and {type_name(right)}",
-            )
-        if op in ("-", "*", "/", "%", "<", "<=", ">", ">="):
-            if type(left) is not int or type(right) is not int:
-                self.fault(
-                    FaultKind.TYPE_ERROR,
-                    expr.span,
-                    f"'{op}' needs integers, got {type_name(left)} and {type_name(right)}",
-                )
-            if op == "-":
-                return self.check_int_cap(left - right, expr.span)
-            if op == "*":
-                return self.check_int_cap(left * right, expr.span)
-            if op == "/":
-                if right == 0:
-                    self.fault(FaultKind.DIV_ZERO, expr.span, "division by zero")
-                return left // right
-            if op == "%":
-                if right == 0:
-                    self.fault(FaultKind.DIV_ZERO, expr.span, "modulo by zero")
-                return left % right
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        raise TypeError(f"unknown operator {op!r}")  # pragma: no cover
-
-    def eval_index(self, expr: n.Index, frame: dict):
-        base = self.eval_expr(expr.base, frame)
-        index = self.eval_expr(expr.index, frame)
-        if type(index) is not int:
-            self.fault(
-                FaultKind.TYPE_ERROR,
-                expr.index.span,
-                f"index must be an integer, got {type_name(index)}",
-            )
-        if type(base) not in (list, str, tuple):
-            self.fault(
-                FaultKind.TYPE_ERROR,
-                expr.span,
-                f"cannot index into {type_name(base)}",
-            )
-        try:
-            return base[index]
-        except IndexError:
-            self.fault(
-                FaultKind.INDEX_RANGE,
-                expr.span,
-                f"index {index} out of range for length {len(base)}",
-            )
-
-    def eval_call(self, expr: n.Call, frame: dict):
-        args = [self.eval_expr(a, frame) for a in expr.args]
-        func = self.funcs.get(expr.name)
-        if func is not None:
-            value, _ = self.call_function(func, args, expr.name_span)
-            return value
-        if expr.name in BUILTINS:
-            return self.call_builtin(expr, args)
-        self.fault(
-            FaultKind.TYPE_ERROR, expr.name_span, f"unknown function '{expr.name}'"
-        )
-
-    def call_builtin(self, expr: n.Call, args: list):
-        name = expr.name
+    def list_lit(self, expr: n.ListLit):
+        items = tuple(self.expr(item) for item in expr.items)
         span = expr.span
 
-        def need(cond: bool, detail: str):
-            if not cond:
-                self.fault(FaultKind.TYPE_ERROR, span, detail)
+        def list_lit(ctx, frame):
+            ctx.left -= 1
+            if ctx.left < 0:
+                raise _OutOfSteps
+            values = []
+            for item in items:
+                values.append(item(ctx, frame))
+            if len(values) > ctx.list_cap:
+                _list_cap_fault(ctx, span)
+            return values
 
-        if name == "len":
-            need(type(args[0]) in (list, str), "len needs a list or string")
-            return len(args[0])
-        if name == "last":
-            xs, k = args
-            need(type(xs) is list, "last needs a list")
-            need(type(k) is int and k >= 0, "last needs a non-negative count")
-            return xs[-k:] if k > 0 else []
-        if name == "count":
-            xs, v = args
-            need(type(xs) is list, "count needs a list")
-            return sum(1 for item in xs if slang_eq(item, v))
-        if name == "contains":
-            s, sub = args
-            need(type(s) is str and type(sub) is str, "contains needs two strings")
-            return sub in s
-        if name == "rand_int":
-            lo, hi = args
-            need(type(lo) is int and type(hi) is int, "rand_int needs integers")
-            need(lo <= hi, "rand_int needs lo <= hi")
-            return self.rng.rand_int(lo, hi)
-        if name == "choice":
-            xs = args[0]
-            need(type(xs) is list, "choice needs a list")
-            if not xs:
-                self.fault(FaultKind.INDEX_RANGE, span, "choice on an empty list")
-            return xs[self.rng.rand_below(len(xs))]
+        return list_lit
 
-        view = self.env.coin_view
-        assert view is not None  # validated: coin builtins imply a coin view
-        if name == "my_pos":
-            return view.my_pos
-        if name == "opp_pos":
-            return view.opp_pos
-        if name == "my_coin":
-            return view.my_coin
-        if name == "opp_coin":
-            return view.opp_coin
-        if name == "board_size":
-            return view.board_size
-        if name == "wrap_dist":
-            p, q = args
-            need(_is_position(p) and _is_position(q), "wrap_dist needs two positions")
-            return games.wrap_distance(p, q, view.board_size)
-        if name == "adjacent":
-            p = args[0]
-            need(_is_position(p), "adjacent needs a position")
-            return [(move, pos) for move, pos in games.adjacent(p, view.board_size)]
-        raise TypeError(f"unknown builtin {name!r}")  # pragma: no cover
+    def pair_lit(self, expr: n.PairLit):
+        first = self.expr(expr.first)
+        second = self.expr(expr.second)
+
+        def pair_lit(ctx, frame):
+            ctx.left -= 1
+            if ctx.left < 0:
+                raise _OutOfSteps
+            return (first(ctx, frame), second(ctx, frame))
+
+        return pair_lit
+
+    def unary(self, expr: n.Unary):
+        operand = self.expr(expr.operand)
+        span = expr.span
+        if expr.op == "-":
+
+            def negate(ctx, frame):
+                ctx.left -= 1
+                if ctx.left < 0:
+                    raise _OutOfSteps
+                value = operand(ctx, frame)
+                if type(value) is not int:
+                    detail = f"unary '-' needs an integer, got {type_name(value)}"
+                    _type_fault(ctx, span, detail)
+                return -value
+
+            return negate
+
+        def not_(ctx, frame):
+            ctx.left -= 1
+            if ctx.left < 0:
+                raise _OutOfSteps
+            value = operand(ctx, frame)
+            if value is False:
+                return True
+            if value is not True:
+                _type_fault(ctx, span, f"'not' needs a boolean, got {type_name(value)}")
+            return False
+
+        return not_
+
+    def binary(self, expr: n.Binary):
+        op = expr.op
+        left = self.expr(expr.left)
+        right = self.expr(expr.right)
+        if op in ("and", "or"):
+            return _logic(op, left, right, expr.left.span, expr.right.span)
+        if op in ("==", "!="):
+            return _equality(op == "!=", left, right)
+        if op == "+":
+            return _plus(left, right, expr.span)
+        if op in _INTEGER_OPS:
+            return _integer_op(op, left, right, expr.span)
+        raise TypeError(f"unknown operator {op!r}")  # pragma: no cover
+
+    def index(self, expr: n.Index):
+        base = self.expr(expr.base)
+        index = self.expr(expr.index)
+        span = expr.span
+        index_span = expr.index.span
+
+        def index_(ctx, frame):
+            ctx.left -= 1
+            if ctx.left < 0:
+                raise _OutOfSteps
+            seq = base(ctx, frame)
+            i = index(ctx, frame)
+            if type(i) is not int:
+                _type_fault(ctx, index_span, f"index must be an integer, got {type_name(i)}")
+            kind = type(seq)
+            if kind is not list and kind is not str and kind is not tuple:
+                _type_fault(ctx, span, f"cannot index into {type_name(seq)}")
+            try:
+                return seq[i]
+            except IndexError:
+                detail = f"index {i} out of range for length {len(seq)}"
+                _fault(ctx, FaultKind.INDEX_RANGE, span, detail)
+
+        return index_
+
+    def call(self, expr: n.Call):
+        args = tuple(self.expr(a) for a in expr.args)
+        fn = self.functions.get(expr.name)
+        if fn is not None:
+            return _user_call(fn, args, expr.name_span)
+        builtin = _BUILTIN_IMPLS.get(expr.name)
+        if builtin is not None:
+            self.can_draw = self.can_draw or BUILTINS[expr.name].stochastic
+            return _builtin_call(builtin, args, expr.span)
+        return _unknown_call(expr.name, args, expr.name_span)
+
+
+def _condition_fault(ctx: _Ctx, span: Span, value):
+    _type_fault(ctx, span, f"condition must be boolean, got {type_name(value)}")
+
+
+def _constant(value):
+    def constant(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        return value
+
+    return constant
+
+
+def _variable(name: str, span: Span):
+    if name in AMBIENT_BINDINGS:
+        ambient = operator.attrgetter(name)
+
+        def ambient_var(ctx, frame):
+            ctx.left -= 1
+            if ctx.left < 0:
+                raise _OutOfSteps
+            if name in frame:  # only an unvalidated tree binds an ambient name
+                return frame[name]
+            return ambient(ctx)
+
+        return ambient_var
+
+    def local_var(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        try:
+            return frame[name]
+        except KeyError:
+            pass
+        _type_fault(ctx, span, f"unbound variable '{name}'")
+
+    return local_var
+
+
+def _logic(op: str, left, right, left_span: Span, right_span: Span):
+    decides = op == "or"  # the left value that settles the result alone
+    continues = not decides
+
+    def logic(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        value = left(ctx, frame)
+        if value is decides:
+            return value
+        if value is not continues:
+            _type_fault(ctx, left_span, f"'{op}' needs booleans, got {type_name(value)}")
+        value = right(ctx, frame)
+        if type(value) is not bool:
+            _type_fault(ctx, right_span, f"'{op}' needs booleans, got {type_name(value)}")
+        return value
+
+    return logic
+
+
+def _plus(left, right, span: Span):
+    def plus(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        a = left(ctx, frame)
+        b = right(ctx, frame)
+        kind = type(a)
+        if kind is type(b):
+            if kind is int:
+                value = a + b
+                if value >= _INT_LIMIT or value <= -_INT_LIMIT:
+                    _int_cap_fault(ctx, span)
+                return value
+            if kind is str:
+                if len(a) + len(b) > MAX_STRING_LENGTH:
+                    _type_fault(ctx, span, f"string length cap {MAX_STRING_LENGTH} exceeded")
+                return a + b
+            if kind is list:
+                value = a + b
+                if len(value) > ctx.list_cap:
+                    _list_cap_fault(ctx, span)
+                return value
+        _type_fault(ctx, span, f"'+' cannot combine {type_name(a)} and {type_name(b)}")
+
+    return plus
+
+
+#: Integer-only operators: (function, zero-divisor fault detail, capped).
+_INTEGER_OPS = {
+    "-": (operator.sub, None, True),
+    "*": (operator.mul, None, True),
+    "/": (operator.floordiv, "division by zero", False),
+    "%": (operator.mod, "modulo by zero", False),
+    "<": (operator.lt, None, False),
+    "<=": (operator.le, None, False),
+    ">": (operator.gt, None, False),
+    ">=": (operator.ge, None, False),
+}
+
+
+def _integer_op(op: str, left, right, span: Span):
+    compute, zero_detail, capped = _INTEGER_OPS[op]
+
+    def integer_op(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        a = left(ctx, frame)
+        b = right(ctx, frame)
+        if type(a) is not int or type(b) is not int:
+            detail = f"'{op}' needs integers, got {type_name(a)} and {type_name(b)}"
+            _type_fault(ctx, span, detail)
+        if zero_detail is not None and b == 0:
+            _fault(ctx, FaultKind.DIV_ZERO, span, zero_detail)
+        value = compute(a, b)
+        if capped and (value >= _INT_LIMIT or value <= -_INT_LIMIT):
+            _int_cap_fault(ctx, span)
+        return value
+
+    return integer_op
+
+
+def _equality(negate: bool, left, right):
+    def equality(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        a = left(ctx, frame)
+        b = right(ctx, frame)
+        kind = type(a)
+        if kind is not type(b):
+            return negate
+        if kind is list or kind is tuple:
+            return slang_eq(a, b) is not negate
+        return (a == b) is not negate
+
+    return equality
+
+
+def _user_call(fn: _Function, args: tuple, name_span: Span):
+    # A call binds dict(zip(params, values)), so extra values are dropped and
+    # missing ones leave their parameters unbound, as for an unvalidated tree.
+    def call(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        values = [arg(ctx, frame) for arg in args]
+        calls_left = ctx.calls_left
+        if calls_left == 0:
+            detail = f"exceeded call depth {ctx.depth_limit}"
+            _fault(ctx, FaultKind.CALL_DEPTH, name_span, detail)
+        ctx.calls_left = calls_left - 1
+        result = fn.body(ctx, dict(zip(fn.params, values)))
+        ctx.calls_left = calls_left
+        return UNIT if result is None else result
+
+    return call
+
+
+def _builtin_call(builtin, args: tuple, span: Span):
+    def call(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        return builtin(ctx, span, [arg(ctx, frame) for arg in args])
+
+    return call
+
+
+def _unknown_call(name: str, args: tuple, name_span: Span):
+    def call(ctx, frame):
+        ctx.left -= 1
+        if ctx.left < 0:
+            raise _OutOfSteps
+        for arg in args:
+            arg(ctx, frame)
+        _type_fault(ctx, name_span, f"unknown function '{name}'")
+
+    return call
+
+
+# --------------------------------------------------------------------------
+# builtins: (ctx, call span, argument values) -> value
+
+
+def _need(ctx: _Ctx, cond: bool, span: Span, detail: str) -> None:
+    if not cond:
+        _type_fault(ctx, span, detail)
+
+
+def _len(ctx, span, args):
+    _need(ctx, type(args[0]) in (list, str), span, "len needs a list or string")
+    return len(args[0])
+
+
+def _last(ctx, span, args):
+    xs, k = args
+    _need(ctx, type(xs) is list, span, "last needs a list")
+    _need(ctx, type(k) is int and k >= 0, span, "last needs a non-negative count")
+    return xs[-k:] if k > 0 else []
+
+
+def _count(ctx, span, args):
+    xs, v = args
+    _need(ctx, type(xs) is list, span, "count needs a list")
+    if type(v) is str:  # only an equal string equals a string
+        return xs.count(v)
+    return sum(1 for item in xs if slang_eq(item, v))
+
+
+def _contains(ctx, span, args):
+    s, sub = args
+    _need(ctx, type(s) is str and type(sub) is str, span, "contains needs two strings")
+    return sub in s
+
+
+def _rand_int(ctx, span, args):
+    lo, hi = args
+    _need(ctx, type(lo) is int and type(hi) is int, span, "rand_int needs integers")
+    _need(ctx, lo <= hi, span, "rand_int needs lo <= hi")
+    return ctx.rng.rand_int(lo, hi)
+
+
+def _choice(ctx, span, args):
+    xs = args[0]
+    _need(ctx, type(xs) is list, span, "choice needs a list")
+    if not xs:
+        _fault(ctx, FaultKind.INDEX_RANGE, span, "choice on an empty list")
+    return xs[ctx.rng.rand_below(len(xs))]
+
+
+def _view(ctx) -> CoinView:
+    view = ctx.view
+    assert view is not None  # validated: coin builtins imply a coin view
+    return view
+
+
+def _wrap_dist(ctx, span, args):
+    view = _view(ctx)
+    p, q = args
+    _need(ctx, _is_position(p) and _is_position(q), span, "wrap_dist needs two positions")
+    return games.wrap_distance(p, q, view.board_size)
+
+
+def _adjacent(ctx, span, args):
+    view = _view(ctx)
+    p = args[0]
+    _need(ctx, _is_position(p), span, "adjacent needs a position")
+    return [(move, pos) for move, pos in games.adjacent(p, view.board_size)]
+
+
+def _view_field(name: str):
+    get = operator.attrgetter(name)
+    return lambda ctx, span, args: get(_view(ctx))
+
+
+_BUILTIN_IMPLS = {
+    "len": _len,
+    "last": _last,
+    "count": _count,
+    "contains": _contains,
+    "rand_int": _rand_int,
+    "choice": _choice,
+    "my_pos": _view_field("my_pos"),
+    "opp_pos": _view_field("opp_pos"),
+    "my_coin": _view_field("my_coin"),
+    "opp_coin": _view_field("opp_coin"),
+    "board_size": _view_field("board_size"),
+    "wrap_dist": _wrap_dist,
+    "adjacent": _adjacent,
+}
+assert _BUILTIN_IMPLS.keys() == BUILTINS.keys()
 
 
 def _is_position(v) -> bool:
@@ -510,6 +835,43 @@ def _show(value) -> str:
     return repr(value)
 
 
+# --------------------------------------------------------------------------
+# entry points
+
+
+def _compiled(tree: n.Program) -> _Compiled:
+    """The tree's compiled form, built on first use and kept on the tree."""
+    try:
+        return tree.__dict__[n.COMPILED_ATTR]
+    except KeyError:
+        pass
+    with stack_headroom():
+        code = _Compiled(tree)
+    object.__setattr__(tree, n.COMPILED_ATTR, code)
+    return code
+
+
+def can_draw(tree: n.Program) -> bool:
+    """Whether the program calls a randomness builtin anywhere.
+
+    A program that cannot draw never touches its rng stream, so callers may
+    skip deriving one for it.
+    """
+    return _compiled(tree).can_draw
+
+
+#: Host frames one tree level can take in compiled code (a statement and
+#: its block, or an expression and a comprehension).
+_FRAMES_PER_LEVEL = 2
+#: Frames left for the caller below evaluate (Python's default limit).
+_HOST_FRAMES = 1000
+
+
+def _frames_needed(budget: Budget) -> int:
+    """Recursion limit that lets any parsable tree reach its call-depth fault."""
+    return _HOST_FRAMES + (budget.call_depth_limit + 1) * MAX_TREE_DEPTH * _FRAMES_PER_LEVEL
+
+
 def evaluate(
     tree: n.Program,
     env: Bindings,
@@ -521,9 +883,38 @@ def evaluate(
     Returns (value, steps used) or raises RuntimeFault.  The rng advances by
     exactly the number of draws the program performs.
     """
-    if rng is None:
+    code = _compiled(tree)
+    if rng is None and code.can_draw:
         rng = SplitMix64(0)
-    from ._stack import stack_headroom
-
-    with stack_headroom():
-        return _Interp(tree, env, budget, rng).run()
+    ctx = _Ctx()
+    ctx.left = ctx.limit = budget.step_limit
+    ctx.depth_limit = budget.call_depth_limit
+    ctx.calls_left = budget.call_depth_limit - 1  # the strategy's own call
+    ctx.list_cap = budget.list_length_cap
+    ctx.rng = rng
+    ctx.view = env.coin_view
+    ctx.my_history = list(env.my_history)
+    ctx.opp_history = list(env.opp_history)
+    ctx.my_source = env.my_source
+    ctx.opp_source = env.opp_source
+    ctx.round_index = env.round_index
+    entry = code.functions[n.ENTRY_POINT]
+    # Inline rather than stack_headroom(): this runs once per evaluation.
+    needed = _frames_needed(budget)
+    previous = sys.getrecursionlimit()
+    if previous < needed:
+        sys.setrecursionlimit(needed)
+    try:
+        result = entry.body(ctx, {})
+    finally:
+        if previous < needed:
+            sys.setrecursionlimit(previous)
+    if result is None:
+        value, span = UNIT, entry.span
+    else:
+        value, span = result, ctx.ret_span
+    legal = legal_actions(env.game)
+    if type(value) is not str or value not in legal:
+        detail = f"strategy returned {_show(value)}, expected one of {list(legal)}"
+        _fault(ctx, FaultKind.INVALID_RETURN, span, detail)
+    return value, ctx.limit - ctx.left

@@ -163,6 +163,10 @@ class FuncDef:
     param_spans: tuple[Span, ...] = field(default=(), compare=False, repr=False)
 
 
+#: Attribute under which the evaluator keeps a tree's compiled closures.
+COMPILED_ATTR = "_compiled"
+
+
 @dataclass(frozen=True)
 class Program:
     defs: tuple[FuncDef, ...]
@@ -173,6 +177,12 @@ class Program:
             if d.name == name:
                 return d
         return None
+
+    def __getstate__(self):
+        # Compiled closures are a cache, not data, and cannot be pickled.
+        state = dict(self.__dict__)
+        state.pop(COMPILED_ATTR, None)
+        return state
 
 
 ENTRY_POINT = "strategy"

@@ -131,6 +131,22 @@ def test_stochastic_match_deterministic_given_seed():
     assert any(x != y for x, y in a.actions)
 
 
+def test_eval_streams_derived_only_for_programs_that_can_draw(allc, monkeypatch):
+    calls = []
+
+    def counting(*parts):
+        calls.append(parts)
+        return derive_seed(*parts)
+
+    derive_seed = arena.derive_seed
+    monkeypatch.setattr(arena, "derive_seed", counting)
+    flip = load_program('fn strategy() {\n    return choice(["C", "D"])\n}\n')
+    play_match(allc, allc, MatchConfig(rounds=10, seed=5))
+    assert calls == []
+    play_match(flip, allc, MatchConfig(rounds=10, seed=5))
+    assert calls == [(5, "eval", "A", r) for r in range(10)]
+
+
 def test_round_robin_exact_matrix(allc, alld, tft):
     table = round_robin(
         [("AllC", allc), ("AllD", alld), ("TFT", tft)], MatchConfig(rounds=10, seed=0)

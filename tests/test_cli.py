@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from osgames.cli import main
+from osgames.cli import _match_config, build_parser, main
 from osgames.fixtures import corpus_path, ipd_corpus_dir
 
 TFT = str(corpus_path("ipd/tft.slang"))
@@ -73,6 +73,18 @@ def test_match_coin_dispatch(tmp_path, capsys):
     record = json.loads(out_file.read_text())
     assert record["config"]["game"] == "coin"
     assert len(record["turns"]) == 10
+
+
+def test_coin_steps_alias_only_on_match_and_meta():
+    parse = build_parser().parse_args
+    # evolve's --steps is the RK4 step count, never the coin match length
+    args = parse(["evolve", "--game", "coin", "--rounds", "30", "a", "b"])
+    assert _match_config(args).rounds == 30
+    args = parse(["evolve", "--game", "coin", "--steps", "500", "--rounds", "30", "a", "b"])
+    assert (_match_config(args).rounds, args.steps) == (30, 500)
+    for command in (["match", "a", "b"], ["meta", "p.json"]):
+        args = parse([*command, "--game", "coin", "--rounds", "30", "--steps", "12"])
+        assert _match_config(args).rounds == 12
 
 
 def test_match_record_reproducible(tmp_path, capsys):

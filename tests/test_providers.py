@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from osgames.providers import (
+    TRANSCRIPT_MESSAGE_CHARS,
+    TRANSCRIPT_MESSAGES,
     ExternalProvider,
     ProposalContext,
     ProviderError,
@@ -57,6 +59,24 @@ def test_external_provider_loopback():
         assert provider.propose(ctx(2, prev=ALLD)) == ALLC
     finally:
         provider.close()
+
+
+def test_external_provider_transcript_is_bounded():
+    provider = ExternalProvider(
+        "x", command=[sys.executable, str(AGENTS / "allc_agent.py")], timeout=20
+    )
+    provider.start("ipd")
+    try:
+        history = [{"meta_round": 1, "my_source": ALLC * 200}]
+        for k in range(1, 2 * TRANSCRIPT_MESSAGES):
+            provider.propose(ctx(k, history=history))
+    finally:
+        provider.close()
+    transcript = provider.transcript
+    assert len(transcript) == TRANSCRIPT_MESSAGES
+    assert all(len(m) <= TRANSCRIPT_MESSAGE_CHARS + 1 for m in transcript)
+    assert transcript[-1].startswith("<- ") and transcript[-2].startswith("-> ")
+    assert transcript[-2].endswith("…")  # the long propose message was cut
 
 
 def test_external_provider_handshake_failure():

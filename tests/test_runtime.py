@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from osgames.rng import SplitMix64
@@ -257,3 +259,72 @@ def test_string_length_cap():
     fault = fault_of(src)
     assert fault.kind is FaultKind.TYPE_ERROR
     assert "string length cap" in fault.detail
+
+
+def _recursion_through(k: int, shape: str) -> str:
+    """f recurses through k levels of nesting; strategy calls f(70)."""
+    if shape == "expr":
+        body = "f(k - 1)"
+        for _ in range(k):
+            body = f"(0 + {body})"
+        body = f"return {body}"
+    else:
+        body = "return f(k - 1)"
+        for _ in range(k):
+            body = f"if true {{\n{body}\n}}"
+    return f"fn f(k) {{\n{body}\n}}\nfn strategy() {{\n    return f(70)\n}}\n"
+
+
+@pytest.mark.parametrize("shape, cap", [("expr", 195), ("if", 99)])
+def test_deepest_parsable_recursion_faults_at_call_depth(shape, cap):
+    # The parser's nesting caps, times the call-depth budget, must fit in
+    # the recursion headroom: the match logs a located fault instead of the
+    # host raising RecursionError.
+    from osgames.arena import MatchConfig, play_match
+    from osgames.program import ProgramError, load_program
+
+    with pytest.raises(ProgramError):
+        load_program(_recursion_through(cap + 1, shape))
+    src = _recursion_through(cap, shape)
+    program = load_program(src)
+    limit = sys.getrecursionlimit()
+    record = None
+    try:
+        record = play_match(program, program, MatchConfig(rounds=1))
+    except RecursionError:  # its traceback is too long to print
+        pass
+    assert record is not None, "host RecursionError instead of a fault"
+    assert sys.getrecursionlimit() == limit
+    assert [f.kind for f in record.faults] == ["call-depth-exceeded"] * 2
+    start, end = record.faults[0].span
+    assert src[start:end] == "f"
+    # A larger call-depth budget gets a larger headroom.
+    deep = src.replace("f(70)", "f(120)")
+    fault = None
+    try:
+        run(deep, budget=Budget(call_depth_limit=100))
+    except RuntimeFault as exc:
+        fault = exc
+    except RecursionError:
+        pass
+    assert fault is not None and fault.kind is FaultKind.CALL_DEPTH
+
+
+def test_compiled_form_is_kept_per_tree_not_per_equal_tree():
+    import pickle
+
+    from osgames.runtime import can_draw
+
+    src = "fn strategy() {\n    return opp_history[0]\n}\n"
+    tree = parse_source(src)
+    moved = parse_source("\n\n" + src)
+    assert tree == moved  # node equality ignores spans
+    starts = []
+    for t in (tree, moved, tree):
+        with pytest.raises(RuntimeFault) as exc:
+            evaluate(t, Bindings())
+        starts.append(exc.value.span.start)
+    assert starts == [starts[0], starts[0] + 2, starts[0]]
+    assert not can_draw(tree)
+    assert can_draw(parse_source('fn strategy() { return choice(["C"]) }'))
+    assert pickle.loads(pickle.dumps(tree)) == tree  # the cache is not pickled
