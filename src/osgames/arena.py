@@ -1,7 +1,7 @@
 """Match execution: one base-game match between two programs, plus the
 round-robin tournament used for payoff-matrix estimation.
 
-Both programs are evaluated each round against bindings built from the
+Both programs are evaluated each round against bindings that show the
 pre-round state (so neither action can depend on the other's same-round
 action) including the opponent's complete current source.  A runtime fault
 never aborts a match: the configured fallback action is substituted and the
@@ -177,27 +177,18 @@ def _require_valid(program: StrategyProgram, game: str, who: str) -> None:
 
 
 def _eval_round(
-    program: StrategyProgram,
-    env: Bindings,
-    cfg: MatchConfig,
-    player: str,
-    round_index: int,
+    program: StrategyProgram, env: Bindings, cfg: MatchConfig, player: str
 ) -> tuple[str, FaultRecord | None]:
+    r = env.round_index
     rng = None  # a program that cannot draw never touches its stream
     if can_draw(program.tree):
-        rng = SplitMix64(derive_seed(cfg.seed, "eval", player, round_index))
+        rng = SplitMix64(derive_seed(cfg.seed, "eval", player, r))
     try:
         value, _ = evaluate(program.tree, env, cfg.budget, rng)
         return value, None
     except RuntimeFault as fault:
-        record = FaultRecord(
-            player,
-            round_index,
-            fault.kind.value,
-            (fault.span.start, fault.span.end),
-            fault.detail,
-        )
-        return cfg.fallback_action, record
+        span = (fault.span.start, fault.span.end)
+        return cfg.fallback_action, FaultRecord(player, r, fault.kind.value, span, fault.detail)
 
 
 def play_match(
@@ -207,6 +198,8 @@ def play_match(
 
     Programs not already loaded for cfg.game (see StrategyProgram.game) are
     validated first.  One loop serves both games; only the step differs.
+    Each player has one binding for the whole match, over the match's own
+    history lists, which grow only after both players have moved.
     """
     _require_valid(pa, cfg.game, "A")
     _require_valid(pb, cfg.game, "B")
@@ -218,35 +211,19 @@ def play_match(
     initial = state
     hist_a: list[str] = []
     hist_b: list[str] = []
-    actions: list[tuple[str, str]] = []
+    env_a = Bindings(cfg.game, hist_a, hist_b, pa.text, pb.text)
+    env_b = Bindings(cfg.game, hist_b, hist_a, pb.text, pa.text)
     deltas: list[tuple[int, int]] = []
     events: list[tuple[games.CoinEvent, ...]] = []
     faults: list[FaultRecord] = []
     for r in range(cfg.rounds):
-        view_a = view_b = None
+        env_a.round_index = env_b.round_index = r
         if state is not None:
-            view_a = CoinView(state.pos_a, state.pos_b, state.coin_red, state.coin_blue, state.n)
-            view_b = CoinView(state.pos_b, state.pos_a, state.coin_blue, state.coin_red, state.n)
-        env_a = Bindings(
-            game=cfg.game,
-            my_history=tuple(hist_a),
-            opp_history=tuple(hist_b),
-            my_source=pa.text,
-            opp_source=pb.text,
-            round_index=r,
-            coin_view=view_a,
-        )
-        env_b = Bindings(
-            game=cfg.game,
-            my_history=tuple(hist_b),
-            opp_history=tuple(hist_a),
-            my_source=pb.text,
-            opp_source=pa.text,
-            round_index=r,
-            coin_view=view_b,
-        )
-        act_a, fault_a = _eval_round(pa, env_a, cfg, "A", r)
-        act_b, fault_b = _eval_round(pb, env_b, cfg, "B", r)
+            a, b, red, blue = state.pos_a, state.pos_b, state.coin_red, state.coin_blue
+            env_a.coin_view = CoinView(a, b, red, blue, state.n)
+            env_b.coin_view = CoinView(b, a, blue, red, state.n)
+        act_a, fault_a = _eval_round(pa, env_a, cfg, "A")
+        act_b, fault_b = _eval_round(pb, env_b, cfg, "B")
         faults.extend(f for f in (fault_a, fault_b) if f is not None)
         if state is None:
             da, db = games.ipd_payoff(act_a, act_b, cfg.payoffs)
@@ -256,14 +233,13 @@ def play_match(
             events.append(tuple(step_events))
         hist_a.append(act_a)
         hist_b.append(act_b)
-        actions.append((act_a, act_b))
         deltas.append((da, db))
     totals = (sum(d[0] for d in deltas), sum(d[1] for d in deltas))
     return MatchRecord(
         cfg,
         (pa.text, pb.text),
         (pa.origin, pb.origin),
-        tuple(actions),
+        tuple(zip(hist_a, hist_b)),
         tuple(deltas),
         totals,
         tuple(faults),

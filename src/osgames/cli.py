@@ -196,6 +196,8 @@ def cmd_label(args) -> int:
     if not corpus_dir.is_dir():
         raise CliError(f"corpus directory not found: {corpus_dir}")
     files = sorted(corpus_dir.glob("*.slang"))
+    if args.variants:
+        return _label_variants(args, corpus_dir, files)
     jobs = [(str(p), args.rounds, args.seed, args.trials) for p in files]
     if args.jobs > 1 and jobs:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -210,47 +212,46 @@ def cmd_label(args) -> int:
             bad.append(name)
         else:
             rows.append(payload)
-
-    if args.variants:
-        from .slang.tokens import SourceText
-
-        corpus = []
-        for path in files:
-            if path.stem not in bad:
-                corpus.append(
-                    (path.stem, SourceText(path.read_text(encoding="utf-8"), str(path)))
-                )
-        items = labeling.build_benchmark(corpus, seed=args.seed, rounds=args.rounds)
-        outdir = _out_path(args.out, "benchmark")
-        written = labeling.write_benchmark(items, outdir)
-        write_manifest(
-            outdir,
-            "label",
-            {"corpus": str(corpus_dir), "rounds": args.rounds, "seed": args.seed,
-             "variants": True},
-            [str(p) for p in files if p.stem not in bad],
-            written,
-            __version__,
-        )
-        print(f"benchmark: {outdir} ({len(written)} files)")
-    else:
-        out = _out_path(args.out, "labels.json")
-        summary = {
-            "programs": len(rows),
-            "cooperative": sum(1 for r in rows if r["cooperative"]),
-            "stochastic": sum(1 for r in rows if r["stochastic"]),
-            "errors": len(bad),
-        }
-        atomic_write_json(
-            out, {"schema": "osgames.labels/1", "summary": summary, "items": rows}
-        )
-        print(
-            f"labeled {summary['programs']} programs "
-            f"({summary['cooperative']} cooperative, {summary['stochastic']} stochastic)"
-            + (f", {len(bad)} failed" if bad else "")
-        )
-        print(f"labels: {out}")
+    out = _out_path(args.out, "labels.json")
+    summary = {
+        "programs": len(rows),
+        "cooperative": sum(1 for r in rows if r["cooperative"]),
+        "stochastic": sum(1 for r in rows if r["stochastic"]),
+        "errors": len(bad),
+    }
+    atomic_write_json(out, {"schema": "osgames.labels/1", "summary": summary, "items": rows})
+    print(
+        f"labeled {summary['programs']} programs "
+        f"({summary['cooperative']} cooperative, {summary['stochastic']} stochastic)"
+        + (f", {len(bad)} failed" if bad else "")
+    )
+    print(f"labels: {out}")
     return EXIT_DOMAIN if bad else EXIT_OK
+
+
+def _label_variants(args, corpus_dir: Path, files: list[Path]) -> int:
+    """`label --variants`: build_benchmark labels each loadable file once."""
+    corpus = []
+    for path in files:
+        try:
+            program = load_program_file(path, game=GAME_IPD)
+        except ProgramError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            continue
+        corpus.append((path.stem, program.source))
+    items = labeling.build_benchmark(corpus, seed=args.seed, rounds=args.rounds)
+    outdir = _out_path(args.out, "benchmark")
+    written = labeling.write_benchmark(items, outdir)
+    write_manifest(
+        outdir,
+        "label",
+        {"corpus": str(corpus_dir), "rounds": args.rounds, "seed": args.seed, "variants": True},
+        [source.origin for _, source in corpus],
+        written,
+        __version__,
+    )
+    print(f"benchmark: {outdir} ({len(written)} files)")
+    return EXIT_DOMAIN if len(corpus) < len(files) else EXIT_OK
 
 
 def cmd_metrics(args) -> int:
@@ -487,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--seed", type=int, default=labeling.DEFAULT_LABEL_SEED)
     p.add_argument("--trials", type=int,
-                   help="additionally report the cooperative fraction over k seeds")
+                   help="additionally report the cooperative fraction over k seeds "
+                   "(not with --variants)")
     p.add_argument("--variants", action="store_true",
                    help="emit unmasked/masked/obfuscated benchmark directories")
     p.add_argument("--jobs", type=int, default=1)

@@ -23,7 +23,7 @@ from .slang import nodes as n
 from .slang.render import render
 from .slang.tokens import SourceText
 from .slang.validator import GAME_IPD
-from .transforms import mask, obfuscate, strip_comments
+from .transforms import mask, obfuscate
 
 #: Seed used when no explicit labeling seed is given; part of the label.
 DEFAULT_LABEL_SEED = 1729
@@ -108,18 +108,18 @@ def is_stochastic(program: StrategyProgram | n.Program) -> bool:
     return can_draw(program.tree if isinstance(program, StrategyProgram) else program)
 
 
-def make_variants(source: SourceText, seed: int) -> dict[str, SourceText]:
-    """unmasked / masked / obfuscated sources for one program."""
-    from .slang.parser import parse_source
+def make_variants(program: StrategyProgram, seed: int) -> dict[str, SourceText]:
+    """unmasked / masked / obfuscated sources for one loaded program.
 
-    stripped = strip_comments(source)
-    base = parse_source(stripped)
-    masked_tree, _ = mask(base)
-    obfuscated_tree, _ = obfuscate(base, SplitMix64(seed))
+    The transforms rename the loaded tree; its text's comments never reach
+    the variants, because the parser drops them and render ignores spans.
+    """
+    masked_tree, _ = mask(program.tree)
+    obfuscated_tree, _ = obfuscate(program.tree, SplitMix64(seed))
     return {
-        "unmasked": source,
-        "masked": render(masked_tree, origin=f"{source.origin}#masked"),
-        "obfuscated": render(obfuscated_tree, origin=f"{source.origin}#obfuscated"),
+        "unmasked": program.source,
+        "masked": render(masked_tree, origin=f"{program.origin}#masked"),
+        "obfuscated": render(obfuscated_tree, origin=f"{program.origin}#obfuscated"),
     }
 
 
@@ -131,7 +131,7 @@ def build_benchmark(
     items: list[BenchmarkItem] = []
     for item_id, source in corpus:
         program = load_program(source, game=GAME_IPD)
-        variants = make_variants(source, derive_seed(seed, "obfuscate", item_id))
+        variants = make_variants(program, derive_seed(seed, "obfuscate", item_id))
         label_seed = derive_seed(seed, "label", item_id)
         reference = label_cooperative(program, rounds, label_seed)
         for name in ("masked", "obfuscated"):

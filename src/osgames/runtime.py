@@ -79,23 +79,25 @@ class CoinView:
     board_size: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Bindings:
+    """What a program reads.  evaluate reads the histories in place, so a
+    match keeps one binding per player and only advances it between rounds;
+    evaluate checks it on every read."""
+
     game: str = GAME_IPD
-    my_history: tuple[str, ...] = ()
-    opp_history: tuple[str, ...] = ()
+    my_history: list[str] = ()  # a non-list sequence becomes a list
+    opp_history: list[str] = ()
     my_source: str = ""
     opp_source: str = ""
     round_index: int = 0
     coin_view: CoinView | None = None
 
     def __post_init__(self):
-        if len(self.my_history) != len(self.opp_history):
-            raise ValueError("histories must have equal length")
-        if len(self.my_history) != self.round_index:
-            raise ValueError("round_index must equal the history length")
-        if self.game == GAME_COIN and self.coin_view is None:
-            raise ValueError("coin game bindings need a coin_view")
+        if type(self.my_history) is not list:
+            self.my_history = list(self.my_history)
+        if type(self.opp_history) is not list:
+            self.opp_history = list(self.opp_history)
 
 
 class _Unit:
@@ -130,14 +132,32 @@ def type_name(value) -> str:
 
 
 def slang_eq(a, b) -> bool:
-    """Structural equality; values of different types are simply unequal."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is list:
-        return len(a) == len(b) and all(slang_eq(x, y) for x, y in zip(a, b))
-    if type(a) is tuple:
-        return slang_eq(a[0], b[0]) and slang_eq(a[1], b[1])
-    return a == b
+    """Structural equality; values of different types are simply unequal.
+
+    Iterative, so values of any nesting compare without host recursion.
+    """
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is list:
+            if len(a) != len(b):
+                return False
+            for x, y in zip(a, b):
+                item = type(x)
+                if item is not type(y):
+                    return False
+                if item is list or item is tuple:
+                    pending.append((x, y))
+                elif x != y:
+                    return False
+        elif kind is tuple:
+            pending.extend(zip(a, b))
+        elif a != b:
+            return False
+    return True
 
 
 def legal_actions(game: str) -> tuple[str, ...]:
@@ -164,10 +184,8 @@ class _OutOfSteps(Exception):
 class _Ctx:
     """The mutable state of one evaluation."""
 
-    __slots__ = (
-        "left", "limit", "calls_left", "depth_limit", "list_cap", "rng", "view", "ret_span",
-        "my_history", "opp_history", "my_source", "opp_source", "round_index",
-    )
+    __slots__ = ("left", "limit", "calls_left", "depth_limit", "list_cap", "rng", "env",
+                 "ret_span")
 
 
 def _fault(ctx: _Ctx, kind: FaultKind, span: Span, detail: str):
@@ -570,7 +588,7 @@ def _variable(name: str, span: Span):
                 raise _OutOfSteps
             if name in frame:  # only an unvalidated tree binds an ambient name
                 return frame[name]
-            return ambient(ctx)
+            return ambient(ctx.env)
 
         return ambient_var
 
@@ -781,7 +799,7 @@ def _choice(ctx, span, args):
 
 
 def _view(ctx) -> CoinView:
-    view = ctx.view
+    view = ctx.env.coin_view
     assert view is not None  # validated: coin builtins imply a coin view
     return view
 
@@ -827,12 +845,38 @@ def _is_position(v) -> bool:
     return type(v) is tuple and type(v[0]) is int and type(v[1]) is int
 
 
+class _Text(str):
+    """Literal text on _show's work stack, told apart from string values."""
+
+
 def _show(value) -> str:
+    """A value as fault details print it: a host repr, except at the top.
+
+    Iterative, so values of any nesting print without host recursion.
+    """
     if value is UNIT:
         return "unit"
     if type(value) is bool:
         return "true" if value else "false"
-    return repr(value)
+    parts = []
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        kind = type(item)
+        if kind is _Text:
+            parts.append(item)
+        elif (kind is not list and kind is not tuple) or not any(
+            type(x) is list or type(x) is tuple for x in item
+        ):
+            parts.append(repr(item))
+        else:  # a list or pair holding lists or pairs: show it piece by piece
+            parts.append("[" if kind is list else "(")
+            pending.append(_Text("]" if kind is list else ")"))
+            for i in range(len(item) - 1, -1, -1):
+                pending.append(item[i])
+                if i:
+                    pending.append(_Text(", "))
+    return "".join(parts)
 
 
 # --------------------------------------------------------------------------
@@ -881,8 +925,15 @@ def evaluate(
     """Run a program's strategy once.
 
     Returns (value, steps used) or raises RuntimeFault.  The rng advances by
-    exactly the number of draws the program performs.
+    exactly the number of draws the program performs.  Raises ValueError for
+    inconsistent bindings.
     """
+    if len(env.my_history) != len(env.opp_history):
+        raise ValueError("histories must have equal length")
+    if len(env.my_history) != env.round_index:
+        raise ValueError("round_index must equal the history length")
+    if env.game == GAME_COIN and env.coin_view is None:
+        raise ValueError("coin game bindings need a coin_view")
     code = _compiled(tree)
     if rng is None and code.can_draw:
         rng = SplitMix64(0)
@@ -892,12 +943,7 @@ def evaluate(
     ctx.calls_left = budget.call_depth_limit - 1  # the strategy's own call
     ctx.list_cap = budget.list_length_cap
     ctx.rng = rng
-    ctx.view = env.coin_view
-    ctx.my_history = list(env.my_history)
-    ctx.opp_history = list(env.opp_history)
-    ctx.my_source = env.my_source
-    ctx.opp_source = env.opp_source
-    ctx.round_index = env.round_index
+    ctx.env = env
     entry = code.functions[n.ENTRY_POINT]
     # Inline rather than stack_headroom(): this runs once per evaluation.
     needed = _frames_needed(budget)

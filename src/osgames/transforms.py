@@ -162,13 +162,8 @@ def _apply_renames(
     return n.replace(tree, defs=tuple(defs))
 
 
-def mask(tree: n.Program, rng: SplitMix64 | None = None) -> tuple[n.Program, RenameMap]:
-    """Rename helper functions to fn_1, fn_2, ... (the entry point is kept).
-
-    Deterministic; the rng parameter is accepted for interface symmetry with
-    obfuscate but unused.
-    """
-    del rng
+def mask(tree: n.Program) -> tuple[n.Program, RenameMap]:
+    """Rename helper functions to fn_1, fn_2, ... (the entry point is kept)."""
     func_map: dict[str, str] = {}
     counter = 0
     for d in tree.defs:

@@ -147,6 +147,32 @@ def test_eval_streams_derived_only_for_programs_that_can_draw(allc, monkeypatch)
     assert calls == [(5, "eval", "A", r) for r in range(10)]
 
 
+def test_each_player_reads_one_live_binding_per_match(tft, monkeypatch):
+    seen = []  # (binding, round index and history length when it was read)
+
+    def recording(tree, env, budget, rng):
+        seen.append((env, env.round_index, len(env.my_history)))
+        return evaluate(tree, env, budget, rng)
+
+    evaluate = arena.evaluate
+    monkeypatch.setattr(arena, "evaluate", recording)
+    alternator = load_program(
+        'fn strategy() {\n    if round_index % 2 == 0 {\n        return "C"\n    }\n'
+        '    return "D"\n}\n'
+    )
+    record = play_match(tft, alternator, MatchConfig(rounds=30, seed=3))
+    assert len(seen) == 60
+    envs_a = {id(env) for env, _, _ in seen[0::2]}
+    envs_b = {id(env) for env, _, _ in seen[1::2]}
+    assert len(envs_a) == len(envs_b) == 1 and envs_a != envs_b
+    env_a, env_b = seen[0][0], seen[1][0]
+    assert env_a.my_history is env_b.opp_history
+    assert env_a.opp_history is env_b.my_history
+    assert env_a.my_history == list(record.player_actions("A"))
+    assert env_b.my_history == list(record.player_actions("B"))
+    assert [(r, length) for _, r, length in seen] == [(r, r) for r in range(30) for _ in "AB"]
+
+
 def test_round_robin_exact_matrix(allc, alld, tft):
     table = round_robin(
         [("AllC", allc), ("AllD", alld), ("TFT", tft)], MatchConfig(rounds=10, seed=0)

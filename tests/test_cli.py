@@ -144,6 +144,34 @@ def test_label_variants_benchmark(tmp_path, capsys):
     assert len(labels["items"]) == 6
 
 
+def test_label_variants_labels_each_program_once(tmp_path, capsys, monkeypatch):
+    from osgames import labeling
+
+    calls = []
+
+    def counting(program, *args):
+        calls.append(program.origin)
+        return label_cooperative(program, *args)
+
+    label_cooperative = labeling.label_cooperative
+    monkeypatch.setattr(labeling, "label_cooperative", counting)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("allc", "tft"):
+        (corpus / f"{name}.slang").write_text(corpus_path(f"ipd/{name}.slang").read_text())
+    (corpus / "broken.slang").write_text("fn strategy( {")
+    code, _, err = run(
+        ["label", str(corpus), "--variants", "--trials", "3", "--out", str(tmp_path / "b")],
+        capsys,
+    )
+    assert code == 1 and "broken" in err
+    # the original, masked and obfuscated variant of each loadable program
+    suffixes = ("", "#masked", "#obfuscated")
+    assert sorted(Path(origin).name for origin in calls) == [
+        f"{name}.slang{suffix}" for name in ("allc", "tft") for suffix in suffixes
+    ]
+
+
 def test_label_trials_reports_rate(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

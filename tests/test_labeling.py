@@ -133,11 +133,11 @@ def test_benchmark_abort_on_behavior_violation(monkeypatch):
     # Force a broken "transform" and check that the builder refuses it.
     import osgames.labeling as labeling_mod
 
-    def broken_variants(source, seed):
+    def broken_variants(program, seed):
         return {
-            "unmasked": source,
+            "unmasked": program.source,
             "masked": SourceText('fn strategy() {\n    return "D"\n}\n', "broken"),
-            "obfuscated": source,
+            "obfuscated": program.source,
         }
 
     monkeypatch.setattr(labeling_mod, "make_variants", broken_variants)
@@ -150,7 +150,7 @@ def test_make_variants_shapes():
     src = SourceText(
         '# says hi\nfn strategy() {\n    return "C"  # always\n}\n', "allc"
     )
-    variants = make_variants(src, seed=9)
+    variants = make_variants(load_program(src), seed=9)
     assert variants["unmasked"].text == src.text
     assert "#" not in variants["masked"].text
     assert "#" not in variants["obfuscated"].text
@@ -177,7 +177,7 @@ def test_write_benchmark_layout(tmp_path, ipd_sources):
 def test_variant_labels_equal_under_same_seed(ipd_sources):
     # variant consistency: all three variants must trace identically
     for item_id, src in ipd_sources[:6]:
-        variants = make_variants(src, derive_seed(1729, "obfuscate", item_id))
+        variants = make_variants(load_program(src), derive_seed(1729, "obfuscate", item_id))
         seed = derive_seed(1729, "label", item_id)
         results = {
             name: label_cooperative(load_program(text, game="ipd"), seed=seed)

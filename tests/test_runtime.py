@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import sys
 
 import pytest
@@ -132,12 +133,29 @@ def test_determinism_and_rng_draw_accounting():
 
 def test_isolation_bindings_unchanged():
     env = Bindings(my_history=("C",), opp_history=("D",), round_index=1)
-    before = (env.my_history, env.opp_history, env.my_source, env.opp_source)
+    before = copy.deepcopy(env)
     run(
         'fn strategy() {\n    let xs = my_history + opp_history\n    return "C"\n}\n',
         env,
     )
-    assert (env.my_history, env.opp_history, env.my_source, env.opp_source) == before
+    assert env == before
+
+
+def test_inconsistent_bindings_are_refused_on_every_read():
+    tree = parse_source('fn strategy() {\n    return "C"\n}\n')
+    env = Bindings(my_history=("C",), opp_history=("D",), round_index=1)
+    assert type(env.my_history) is list  # a tuple becomes a list once
+    assert evaluate(tree, env)[0] == "C"
+    broken = [
+        Bindings(my_history=("C",), opp_history=(), round_index=1),
+        Bindings(my_history=("C",), opp_history=("D",), round_index=2),
+        Bindings(game="coin"),
+    ]
+    env.my_history.append("C")  # a live binding that went out of step
+    broken.append(env)
+    for env in broken:
+        with pytest.raises(ValueError):
+            evaluate(tree, env)
 
 
 def test_builtins():
@@ -328,3 +346,105 @@ def test_compiled_form_is_kept_per_tree_not_per_equal_tree():
     assert not can_draw(tree)
     assert can_draw(parse_source('fn strategy() { return choice(["C"]) }'))
     assert pickle.loads(pickle.dumps(tree)) == tree  # the cache is not pickled
+
+
+DEEP_VALUES = """fn strategy() {
+    let xs = []
+    let ys = []
+    let i = 0
+    while i < 3000 {
+        xs = [xs]
+        ys = [ys]
+        i = i + 1
+    }
+    TAIL
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        'if xs == xs and xs == ys and xs != [ys] and count([ys, xs], xs) == 2 {\n'
+        '        return "C"\n    }\n    return "D"',
+        "return xs",
+    ],
+    ids=["equality", "return"],
+)
+def test_deep_values_end_in_a_value_or_a_located_fault(tail):
+    # Values nest as deep as the step budget allows, far past the recursion
+    # headroom of call_depth_limit=1: equality and fault details must not
+    # recurse on them.
+    from osgames.arena import MatchConfig, play_match
+    from osgames.program import load_program
+
+    src = DEEP_VALUES.replace("TAIL", tail)
+    program = load_program(src)
+    record = None
+    try:
+        record = play_match(
+            program, program, MatchConfig(rounds=1, budget=Budget(call_depth_limit=1))
+        )
+    except RecursionError:  # its traceback is too long to print
+        pass
+    assert record is not None, "host RecursionError instead of a value or a fault"
+    if tail == "return xs":
+        assert [f.kind for f in record.faults] == ["invalid-return"] * 2
+        start, end = record.faults[0].span
+        assert src[start:end] == "return xs"
+        shown = "[" * 3001 + "]" * 3001
+        assert record.faults[0].detail == f"strategy returned {shown}, expected one of ['C', 'D']"
+    else:
+        assert record.faults == ()
+        assert record.actions == (("C", "C"),)
+
+
+def test_nested_value_details_read_like_host_reprs():
+    src = (
+        'fn u() {\n    let x = 1\n}\n'
+        'fn strategy() {\n    return [("C", [true, 1]), [], [[u()]], (false, ("a", [])), "D"]\n}\n'
+    )
+    fault = fault_of(src)
+    shown = repr([("C", [True, 1]), [], [["unit"]], (False, ("a", [])), "D"])
+    shown = shown.replace("'unit'", "unit")
+    assert fault.detail == f"strategy returned {shown}, expected one of ['C', 'D']"
+
+
+def test_iterative_equality_and_details_match_recursive_references():
+    import random
+
+    from osgames.runtime import UNIT, _show, slang_eq
+
+    def eq(a, b):  # the recursive definition
+        if type(a) is not type(b):
+            return False
+        if type(a) is list:
+            return len(a) == len(b) and all(eq(x, y) for x, y in zip(a, b))
+        if type(a) is tuple:
+            return eq(a[0], b[0]) and eq(a[1], b[1])
+        return a == b
+
+    def show(v):  # the host repr, except at the top
+        if v is UNIT:
+            return "unit"
+        if type(v) is bool:
+            return "true" if v else "false"
+        return repr(v)
+
+    r = random.Random(5)
+
+    def value(depth):
+        k = r.randrange(9 if depth < 4 else 5)
+        if k < 5:
+            return r.choice([0, 1, True, False, "C", "a'b", "", UNIT])
+        if k < 7:
+            return [value(depth + 1) for _ in range(r.randrange(4))]
+        return (value(depth + 1), value(depth + 1))
+
+    values = [value(0) for _ in range(500)]
+    for _ in range(5000):
+        a = r.choice(values)
+        b = copy.deepcopy(a) if r.random() < 0.25 else r.choice(values)
+        assert slang_eq(a, b) is eq(a, b), (a, b)
+    for v in values:
+        assert _show(v) == show(v), v
