@@ -287,15 +287,12 @@ class RoundRobinTable:
 
 
 def _pair_job(args) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """One ordered pairing's matches (top level so worker pools can run it)."""
+    """One pairing's match totals, a pair per seed (top level so worker pools
+    can run it)."""
     i, j, source_i, source_j, cfg, seeds = args
     pi = load_program(source_i, game=cfg.game)
     pj = load_program(source_j, game=cfg.game)
-    cell = []
-    for seed in seeds:
-        record = play_match(pi, pj, replace(cfg, seed=seed))
-        cell.append((seed, record.totals[0]))
-    return i, j, tuple(cell)
+    return i, j, tuple(play_match(pi, pj, replace(cfg, seed=seed)).totals for seed in seeds)
 
 
 def round_robin(
@@ -304,11 +301,18 @@ def round_robin(
     repetitions: int = 1,
     jobs: int = 1,
 ) -> RoundRobinTable:
-    """Play every ordered pair (self-play included) `repetitions` times.
+    """Sample every ordered pair (self-play included) `repetitions` times.
 
-    Each pairing/repetition gets its own seed derived from cfg.seed, so the
+    Each cell and repetition gets its own seed derived from cfg.seed, so the
     table is identical however the pairings are scheduled; jobs > 1 spreads
     the independent pairings over a process pool.
+
+    An IPD pairing of two programs that cannot draw is seed-free: its match
+    depends on neither the seed nor the seat.  It is played once, for i <= j
+    at the (i, j, 0) seed, and that one match gives every sample of cell
+    (i, j) and, mirrored, of cell (j, i).  Repetitions therefore add
+    information only to pairings with a drawing program (and to every
+    coin-game pairing, whose board depends on the seed).
     """
     if len(entries) < 2:
         raise ArenaError("round robin needs at least two types")
@@ -319,11 +323,19 @@ def round_robin(
     for tag, program in entries:
         _require_valid(program, cfg.game, tag)
     n = len(programs)
+    seed_free = [cfg.game == GAME_IPD and not can_draw(p.tree) for p in programs]
+    seeds = {
+        (i, j): [derive_seed(cfg.seed, "pair", i, j, rep) for rep in range(repetitions)]
+        for i in range(n)
+        for j in range(n)
+    }
     tasks = []
-    for i in range(n):
-        for j in range(n):
-            seeds = [derive_seed(cfg.seed, "pair", i, j, rep) for rep in range(repetitions)]
-            tasks.append((i, j, programs[i].text, programs[j].text, cfg, seeds))
+    for (i, j), cell_seeds in seeds.items():
+        if seed_free[i] and seed_free[j]:
+            if i > j:
+                continue  # read from the mirrored (j, i) match
+            cell_seeds = cell_seeds[:1]
+        tasks.append((i, j, programs[i].text, programs[j].text, cfg, cell_seeds))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -331,14 +343,14 @@ def round_robin(
             results = list(pool.map(_pair_job, tasks))
     else:
         results = [_pair_job(t) for t in tasks]
-    samples: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for i, j, cell in results:
-        samples[(i, j)] = cell
+    payoffs: dict[tuple[int, int], list[int]] = {}
+    for i, j, totals in results:
+        if seed_free[i] and seed_free[j]:
+            totals *= repetitions
+            payoffs[(j, i)] = [b for _, b in totals]
+        payoffs[(i, j)] = [a for a, _ in totals]
+    samples = {cell: tuple(zip(seeds[cell], payoffs[cell])) for cell in seeds}
     means = tuple(
-        tuple(
-            sum(p for _, p in samples[(i, j)]) / len(samples[(i, j)])
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(sum(payoffs[(i, j)]) / repetitions for j in range(n)) for i in range(n)
     )
     return RoundRobinTable(tags, means, samples)

@@ -440,6 +440,14 @@ def cmd_flow(args) -> int:
 # parser
 
 
+REPS_HELP = (
+    "seeded samples per ordered pairing. An IPD pairing of two programs that "
+    "cannot draw is seed-free: one played match gives all of its samples, so "
+    "repetitions add information only to pairings with a drawing program "
+    "(and to every coin-game pairing)"
+)
+
+
 def _add_match_options(p, game_default: str = GAME_IPD, rounds_default: int = 10):
     p.add_argument("--game", choices=GAMES, default=game_default)
     p.add_argument("--rounds", type=int, default=rounds_default,
@@ -512,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tournament", help="round-robin mean-payoff table")
     p.add_argument("programs", nargs="+")
     _add_match_options(p)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=int, default=1, help=REPS_HELP)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tournament)
@@ -521,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("programs", nargs="*")
     p.add_argument("--matrix", help="payoff matrix JSON file")
     _add_match_options(p, rounds_default=evolution.EVOLUTION_ROUNDS)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=int, default=1, help=REPS_HELP)
     p.add_argument("--x0", help="start population a,b,c (default uniform)")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--steps", type=int, default=20_000)
@@ -534,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("programs", nargs="*")
     p.add_argument("--matrix")
     _add_match_options(p, rounds_default=evolution.EVOLUTION_ROUNDS)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=int, default=1, help=REPS_HELP)
     p.add_argument("--resolution", type=int, default=20)
     p.add_argument("--out")
     p.set_defaults(func=cmd_flow)

@@ -114,8 +114,8 @@ def run_meta_game(
     started: list[Provider] = []
     try:
         for p in providers:
+            started.append(p)  # closed on failure, even one whose start failed
             p.start(cfg.game)
-            started.append(p)
     except BaseException:
         for p in started:
             p.close()

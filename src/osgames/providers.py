@@ -34,6 +34,15 @@ DEFAULT_TIMEOUT = 60.0
 #: with the square of the number of meta-rounds.
 TRANSCRIPT_MESSAGES = 8
 TRANSCRIPT_MESSAGE_CHARS = 2000
+#: Longest reply line read from an agent, newline excluded; a longer one is
+#: a provider fault and its rest is read and dropped.
+MAX_REPLY_CHARS = 1 << 20
+#: Fault messages quote the agent's last few stderr lines, each cut to
+#: TRANSCRIPT_MESSAGE_CHARS.
+STDERR_TAIL_LINES = 8
+#: How long a fault waits for an agent that closed a pipe to exit, and then
+#: for its stderr to reach end of file.
+EXIT_GRACE = 5.0
 
 
 class ProviderError(Exception):
@@ -99,28 +108,49 @@ class ScriptedProvider(Provider):
         return chosen
 
 
+def _bounded_lines(stream, limit: int):
+    """Yield (line, whole) for each line of a text stream, holding at most
+    limit + 1 characters at a time.  A line longer than limit characters
+    (newline excluded) yields its first limit characters with whole False,
+    and its rest is read and dropped."""
+    while line := stream.readline(limit + 1):
+        if len(line) <= limit or line.endswith("\n"):
+            yield line, True
+            continue
+        yield line[:limit], False
+        while line and not line.endswith("\n"):
+            line = stream.readline(limit + 1)
+
+
+#: Queued in place of a reply line longer than MAX_REPLY_CHARS.
+_TOO_LONG = object()
+
+
 class _LineReader:
     """Blocking readline with a timeout, via a daemon thread."""
 
     def __init__(self, stream):
-        self._queue: queue.Queue[str | None] = queue.Queue()
-        self._thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
-        self._thread.start()
+        self._queue: queue.Queue = queue.Queue()
+        self.thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
+        self.thread.start()
 
     def _pump(self, stream):
         try:
-            for line in stream:
-                self._queue.put(line)
+            for line, whole in _bounded_lines(stream, MAX_REPLY_CHARS):
+                self._queue.put(line if whole else _TOO_LONG)
         finally:
             self._queue.put(None)
 
-    def readline(self, timeout: float) -> str:
+    def readline(self, timeout: float) -> str | None:
+        """The next reply line, or None once the agent has closed its output."""
         try:
             line = self._queue.get(timeout=timeout)
         except queue.Empty:
             raise ProviderError(f"no reply within {timeout} seconds") from None
         if line is None:
-            raise ProviderError("agent process closed its output")
+            self._queue.put(None)  # a later read fails at once, not after the timeout
+        elif line is _TOO_LONG:
+            raise ProviderError(f"agent reply line exceeds {MAX_REPLY_CHARS} characters")
         return line
 
 
@@ -135,6 +165,9 @@ class ExternalProvider(Provider):
     _transcript: deque[str] = field(
         default_factory=lambda: deque(maxlen=TRANSCRIPT_MESSAGES)
     )
+    _stderr: deque[str] = field(default_factory=lambda: deque(maxlen=STDERR_TAIL_LINES))
+    _stderr_lock: threading.Lock = field(default_factory=threading.Lock)
+    _stderr_pump: threading.Thread | None = None
 
     @property
     def transcript(self) -> list[str]:
@@ -146,6 +179,31 @@ class ExternalProvider(Provider):
             message = message[:TRANSCRIPT_MESSAGE_CHARS] + "…"
         self._transcript.append(message)
 
+    def _drain_stderr(self, stream) -> None:
+        for line, whole in _bounded_lines(stream, TRANSCRIPT_MESSAGE_CHARS):
+            line = line.rstrip("\n")
+            with self._stderr_lock:
+                self._stderr.append(line if whole else line + "…")
+
+    def _fault(self, message: str, closed: bool = False) -> ProviderError:
+        """A ProviderError that quotes the agent's stderr tail.
+
+        closed: the agent closed a pipe, so it is given EXIT_GRACE seconds to
+        exit.  The stderr of an agent that has exited is read to its end
+        before it is quoted, so the message is the same on every run.
+        """
+        proc = self._process
+        if closed:
+            try:
+                proc.wait(timeout=EXIT_GRACE)
+            except subprocess.TimeoutExpired:
+                pass
+        if proc.poll() is not None:
+            self._stderr_pump.join(EXIT_GRACE)
+        with self._stderr_lock:
+            tail = list(self._stderr)
+        return ProviderError(f"{message}; stderr tail: {tail}")
+
     def start(self, game: str) -> None:
         if not self.command:
             raise ProviderError(f"external provider {self.provider_id} has no command")
@@ -154,20 +212,25 @@ class ExternalProvider(Provider):
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
                 text=True,
+                errors="replace",  # a bad byte makes a bad message, not a dead reader
                 bufsize=1,
             )
         except OSError as exc:
             raise ProviderError(
                 f"cannot start agent {self.command!r}: {exc.strerror or exc}"
             ) from exc
+        self._stderr_pump = threading.Thread(
+            target=self._drain_stderr, args=(self._process.stderr,), daemon=True
+        )
+        self._stderr_pump.start()
         self._reader = _LineReader(self._process.stdout)
         reply = self._exchange(
             {"type": "hello", "protocol": PROTOCOL_VERSION, "game": game}
         )
         if reply.get("type") != "ready":
-            raise ProviderError(
+            raise self._fault(
                 f"agent handshake failed, expected ready, got {reply!r};"
                 f" transcript: {self.transcript}"
             )
@@ -180,8 +243,10 @@ class ExternalProvider(Provider):
             self._process.stdin.write(line + "\n")
             self._process.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise ProviderError(f"agent pipe closed: {exc}") from exc
+            raise self._fault(f"agent pipe closed: {exc}", closed=True) from exc
         raw = self._reader.readline(self.timeout)
+        if raw is None:
+            raise self._fault("agent process closed its output", closed=True)
         self._note(f"<- {raw.rstrip()}")
         try:
             return json.loads(raw)
@@ -219,6 +284,18 @@ class ExternalProvider(Provider):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        try:
+            proc.stdin.close()
+        except (BrokenPipeError, OSError):
+            pass
+        # a pipe still held open by the agent's own children stays open
+        for pump, stream in (
+            (self._reader.thread, proc.stdout),
+            (self._stderr_pump, proc.stderr),
+        ):
+            pump.join(EXIT_GRACE)
+            if not pump.is_alive():
+                stream.close()
 
 
 def provider_from_spec(spec: dict, provider_id: str) -> Provider:

@@ -6,12 +6,21 @@ from dataclasses import replace
 import pytest
 
 from osgames import arena
-from osgames.arena import ArenaError, MatchConfig, PLAYER_IDS, play_match, replay, round_robin
-from osgames.fixtures import load_fixture
+from osgames.arena import (
+    ArenaError,
+    MatchConfig,
+    PLAYER_IDS,
+    RoundRobinTable,
+    play_match,
+    replay,
+    round_robin,
+)
+from osgames.fixtures import load_corpus_programs, load_fixture
 from osgames.games import PayoffParams
 from osgames.program import ProgramError, load_program
 from osgames.runio import canonical_json_bytes
-from osgames.runtime import Budget
+from osgames.rng import derive_seed
+from osgames.runtime import Budget, can_draw
 from osgames.slang.validator import validate
 
 
@@ -198,6 +207,91 @@ def test_round_robin_repetitions_record_samples(allc):
     assert len({seed for seed, _ in cell}) == 5  # distinct derived seeds
     mean = sum(p for _, p in cell) / 5
     assert table.means[1][0] == mean
+
+
+def reference_round_robin(entries, cfg, repetitions):
+    """Plays every ordered cell and every repetition, reusing nothing."""
+    n = len(entries)
+    samples = {}
+    for i, (_, pi) in enumerate(entries):
+        for j, (_, pj) in enumerate(entries):
+            seeds = [derive_seed(cfg.seed, "pair", i, j, rep) for rep in range(repetitions)]
+            samples[(i, j)] = tuple(
+                (seed, play_match(pi, pj, replace(cfg, seed=seed)).totals[0]) for seed in seeds
+            )
+    means = tuple(
+        tuple(sum(p for _, p in samples[(i, j)]) / repetitions for j in range(n))
+        for i in range(n)
+    )
+    return RoundRobinTable(tuple(tag for tag, _ in entries), means, samples)
+
+
+def equilibrium_entries():
+    """The comparator against its byte-identical twin, a reader of the
+    opponent's source, fixed strategies and a drawing one."""
+    comparator = load_fixture("equilibrium/syntactic_comparator.slang")
+    twin = load_program(comparator.text, origin="twin")
+    ipd = dict(load_corpus_programs("ipd"))
+    picked = ("similarity_tester", "allc", "alld", "random_coinflip")
+    return [("comparator", comparator), ("twin", twin)] + [(k, ipd[k]) for k in picked]
+
+
+@pytest.mark.parametrize("corpus", ["ipd", "equilibrium"])
+@pytest.mark.parametrize("repetitions", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_round_robin_reuse_matches_playing_every_cell(ipd_corpus, corpus, repetitions, jobs):
+    entries = ipd_corpus if corpus == "ipd" else equilibrium_entries()
+    cfg = MatchConfig(rounds=12, seed=31)
+    table = round_robin(entries, cfg, repetitions, jobs=jobs)
+    expected = reference_round_robin(entries, cfg, repetitions)
+    assert table.to_json_dict() == expected.to_json_dict()
+    assert table == expected
+    assert list(table.samples) == list(expected.samples)
+
+
+def count_matches(monkeypatch):
+    calls = []
+    real = arena.play_match
+
+    def counting(pa, pb, cfg):
+        calls.append((pa.text, pb.text, cfg.seed))
+        return real(pa, pb, cfg)
+
+    monkeypatch.setattr(arena, "play_match", counting)
+    return calls
+
+
+@pytest.mark.parametrize("repetitions, matches", [(1, 264), (2, 375)])
+def test_round_robin_plays_each_seed_free_pairing_once(
+    monkeypatch, ipd_corpus, repetitions, matches
+):
+    drawing = {tag for tag, p in ipd_corpus if can_draw(p.tree)}
+    assert drawing == {"generous_tft", "random_coinflip", "random_then_tft"}
+    calls = count_matches(monkeypatch)
+    table = round_robin(ipd_corpus, MatchConfig(rounds=5, seed=3), repetitions)
+    assert len(calls) == matches
+    assert len(table.samples) == 400
+    assert all(len(cell) == repetitions for cell in table.samples.values())
+
+
+def test_round_robin_coin_game_plays_every_seed(monkeypatch):
+    coin = load_corpus_programs("coin")
+    assert not any(can_draw(p.tree) for _, p in coin[:2])  # seed-free in the IPD
+    calls = count_matches(monkeypatch)
+    round_robin(coin, MatchConfig(game="coin", rounds=4, seed=2), repetitions=2)
+    assert len(calls) == len(coin) ** 2 * 2
+    assert len({seed for _, _, seed in calls}) == len(calls)
+
+
+def test_round_robin_pairing_with_a_drawing_program_plays_every_repetition(
+    monkeypatch, allc
+):
+    flip = load_program('fn strategy() {\n    return choice(["C", "D"])\n}\n')
+    calls = count_matches(monkeypatch)
+    round_robin([("AllC", allc), ("Flip", flip)], MatchConfig(rounds=4), repetitions=3)
+    # (AllC, AllC) once; (AllC, Flip), (Flip, AllC) and (Flip, Flip) three times each
+    assert len(calls) == 1 + 3 * 3
+    assert sum(1 for a, b, _ in calls if (a, b) == (allc.text, flip.text)) == 3
 
 
 def test_round_robin_requires_two_types(allc):

@@ -13,7 +13,13 @@ from osgames.metagame import (
     merge_judge_labels,
     run_meta_game,
 )
-from osgames.providers import ExternalProvider, ScriptedProvider, StaticProvider
+from osgames.providers import (
+    MAX_REPLY_CHARS,
+    ExternalProvider,
+    ProviderError,
+    ScriptedProvider,
+    StaticProvider,
+)
 from osgames.runio import canonical_json_bytes
 
 AGENTS = Path(__file__).parent / "agents"
@@ -124,6 +130,31 @@ def test_round_one_failure_aborts():
             meta_rounds=2,
             cfg=MatchConfig(rounds=10, seed=0),
         )
+
+
+def test_overlong_reply_is_a_recorded_provider_fault():
+    record = run_meta_game(
+        ExternalProvider(
+            "a", command=[sys.executable, str(AGENTS / "flood_agent.py")], timeout=20
+        ),
+        StaticProvider("b", source=TFT),
+        meta_rounds=2,
+        cfg=MatchConfig(rounds=10, seed=4),
+    )
+    assert record.rounds[0].provider_faults == ()
+    assert record.rounds[1].provider_faults == (
+        f"a: agent reply line exceeds {MAX_REPLY_CHARS} characters; reusing previous source",
+    )
+    assert record.rounds[1].sources[0] == ALLC
+
+
+def test_provider_whose_start_fails_is_closed():
+    rude = ExternalProvider(
+        "a", command=[sys.executable, str(AGENTS / "rude_agent.py")], timeout=20
+    )
+    with pytest.raises(ProviderError):
+        run_meta_game(rude, StaticProvider("b", source=TFT), 1, MatchConfig(rounds=10))
+    assert rude._process is None  # shut down, not left running
 
 
 def test_external_loopback_equals_static():

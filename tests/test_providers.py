@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from osgames.providers import (
+    MAX_REPLY_CHARS,
+    STDERR_TAIL_LINES,
     TRANSCRIPT_MESSAGE_CHARS,
     TRANSCRIPT_MESSAGES,
     ExternalProvider,
@@ -99,6 +101,58 @@ def test_external_provider_timeout():
         with pytest.raises(ProviderError) as exc:
             provider.propose(ctx(1))
         assert "no reply" in str(exc.value)
+    finally:
+        provider.close()
+
+
+def test_external_provider_overlong_reply_is_a_fault():
+    provider = ExternalProvider(
+        "x", command=[sys.executable, str(AGENTS / "flood_agent.py")], timeout=20
+    )
+    provider.start("ipd")
+    try:
+        assert provider.propose(ctx(1)) == ALLC
+        with pytest.raises(ProviderError) as exc:
+            provider.propose(ctx(2))
+        assert str(exc.value) == f"agent reply line exceeds {MAX_REPLY_CHARS} characters"
+    finally:
+        provider.close()
+
+
+def test_external_provider_quotes_the_stderr_tail_of_an_exited_agent():
+    expected = [f"warming up step {k}" for k in range(6, 12)]
+    expected += ["traceback: " + "y" * (TRANSCRIPT_MESSAGE_CHARS - 11) + "…"]
+    expected += ["fatal: no model configured"]
+    assert len(expected) == STDERR_TAIL_LINES
+    messages = set()
+    for _ in range(3):
+        provider = ExternalProvider(
+            "x", command=[sys.executable, str(AGENTS / "dying_agent.py")], timeout=20
+        )
+        with pytest.raises(ProviderError) as exc:
+            provider.start("ipd")
+        provider.close()
+        messages.add(str(exc.value))
+    assert messages == {f"agent process closed its output; stderr tail: {expected}"}
+
+
+def test_external_provider_undecodable_reply_is_an_invalid_message():
+    agent = (
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.buffer.write(b'{\"type\": \"ready\"}\\n')\n"
+        "sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.buffer.write(b'{\"type\": \"progr\\xffm\"}\\n')\n"
+        "sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+    )
+    provider = ExternalProvider("x", command=[sys.executable, "-c", agent], timeout=20)
+    provider.start("ipd")
+    try:
+        with pytest.raises(ProviderError) as exc:
+            provider.propose(ctx(1))
+        assert "invalid program message" in str(exc.value)
     finally:
         provider.close()
 
