@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from . import games
 from .program import ProgramError, StrategyProgram, load_program
 from .rng import RNG_ALGORITHM, SplitMix64, derive_seed
-from .runtime import Bindings, Budget, CoinView, RuntimeFault, can_draw, evaluate
+from .runtime import Bindings, Budget, CoinView, RuntimeFault, can_draw, evaluate, reads_opp_source
 from .slang.validator import GAME_COIN, GAME_IPD, GAMES, validate
 
 SCHEMA_MATCH = "osgames.match/1"
@@ -191,6 +191,22 @@ def _eval_round(
         return cfg.fallback_action, FaultRecord(player, r, fault.kind.value, span, fault.detail)
 
 
+def _recall(
+    node: list, program: StrategyProgram, env: Bindings, cfg: MatchConfig, player: str
+) -> tuple[str, FaultRecord | None]:
+    """_eval_round through a history-trie node: evaluate on the first visit,
+    read the stored result on every later one."""
+    result = node[0]
+    if result is None:
+        action, fault = _eval_round(program, env, cfg, player)
+        node[0] = action if fault is None else (action, fault.kind, fault.span, fault.detail)
+        return action, fault
+    if type(result) is str:
+        return result, None
+    action, kind, span, detail = result
+    return action, FaultRecord(player, env.round_index, kind, span, detail)
+
+
 def play_match(
     pa: StrategyProgram, pb: StrategyProgram, cfg: MatchConfig = MatchConfig()
 ) -> MatchRecord:
@@ -201,6 +217,19 @@ def play_match(
     Each player has one binding for the whole match, over the match's own
     history lists, which grow only after both players have moved.
     """
+    return _play(pa, pb, cfg)
+
+
+def _play(
+    pa: StrategyProgram,
+    pb: StrategyProgram,
+    cfg: MatchConfig,
+    tries: _HistoryTries | None = None,
+    node_a: list | None = None,
+    node_b: list | None = None,
+) -> MatchRecord:
+    """play_match's loop.  A player with a trie node (round_robin's
+    _HistoryTries) reads its result there; None evaluates."""
     _require_valid(pa, cfg.game, "A")
     _require_valid(pb, cfg.game, "B")
     state = None  # coin game board; None for the IPD
@@ -216,14 +245,21 @@ def play_match(
     deltas: list[tuple[int, int]] = []
     events: list[tuple[games.CoinEvent, ...]] = []
     faults: list[FaultRecord] = []
+    last = cfg.rounds - 1
     for r in range(cfg.rounds):
         env_a.round_index = env_b.round_index = r
         if state is not None:
             a, b, red, blue = state.pos_a, state.pos_b, state.coin_red, state.coin_blue
             env_a.coin_view = CoinView(a, b, red, blue, state.n)
             env_b.coin_view = CoinView(b, a, blue, red, state.n)
-        act_a, fault_a = _eval_round(pa, env_a, cfg, "A")
-        act_b, fault_b = _eval_round(pb, env_b, cfg, "B")
+        if node_a is None:
+            act_a, fault_a = _eval_round(pa, env_a, cfg, "A")
+        else:
+            act_a, fault_a = _recall(node_a, pa, env_a, cfg, "A")
+        if node_b is None:
+            act_b, fault_b = _eval_round(pb, env_b, cfg, "B")
+        else:
+            act_b, fault_b = _recall(node_b, pb, env_b, cfg, "B")
         faults.extend(f for f in (fault_a, fault_b) if f is not None)
         if state is None:
             da, db = games.ipd_payoff(act_a, act_b, cfg.payoffs)
@@ -234,6 +270,9 @@ def play_match(
         hist_a.append(act_a)
         hist_b.append(act_b)
         deltas.append((da, db))
+        if tries is not None and r < last:  # no node past the last round
+            node_a = tries.child(node_a, act_a + act_b)
+            node_b = tries.child(node_b, act_b + act_a)
     totals = (sum(d[0] for d in deltas), sum(d[1] for d in deltas))
     return MatchRecord(
         cfg,
@@ -286,13 +325,79 @@ class RoundRobinTable:
         }
 
 
+#: Nodes the history tries of one round robin may hold.  Past it they are
+#: only read: a history with no node yet is evaluated as in play_match.
+TRIE_NODE_CAP = 1 << 17
+
+#: A trie node's child slot for the joint actions of a round, (mine, theirs).
+_CHILD_SLOT = {"CC": 1, "CD": 2, "DC": 3, "DD": 4}
+
+
+def _seed_free(program: StrategyProgram, game: str) -> bool:
+    """Whether the program's actions in the game never depend on the seed."""
+    return game == GAME_IPD and not can_draw(program.tree)
+
+
+class _HistoryTries:
+    """What the seed-free programs of one round robin did on each history.
+
+    Such a program's result in a round depends only on the joint history so
+    far, its own source, the opponent's source if it reads opp_source, and
+    the round robin's one config (the seed aside).  Each program index, with
+    the opponent's source if it reads it, has a trie; a node at depth r is a
+    joint history of r rounds, kept as a list of five slots: the result
+    there (the action, or (action, fault kind, span, detail); None until
+    evaluated) and one child per joint action of the next round.
+    """
+
+    def __init__(self):
+        self.roots: dict = {}
+        self.room = TRIE_NODE_CAP
+
+    def _node(self) -> list | None:
+        if self.room <= 0:
+            return None
+        self.room -= 1
+        return [None, None, None, None, None]
+
+    def root(
+        self, index: int, program: StrategyProgram, opponent: StrategyProgram, game: str
+    ) -> list | None:
+        """The program's node for the empty history, or None to evaluate."""
+        if not _seed_free(program, game):
+            return None
+        key = (index, opponent.text) if reads_opp_source(program.tree) else index
+        node = self.roots.get(key)
+        if node is None:
+            node = self.roots[key] = self._node()
+        return node
+
+    def child(self, node: list | None, joint: str) -> list | None:
+        if node is None:
+            return None
+        slot = _CHILD_SLOT[joint]
+        child = node[slot]
+        if child is None:
+            child = node[slot] = self._node()
+        return child
+
+
 def _pair_job(args) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """One pairing's match totals, a pair per seed (top level so worker pools
-    can run it)."""
-    i, j, source_i, source_j, cfg, seeds = args
+    can run it).
+
+    Both programs are parsed from their text.  A seed-free player reads and
+    extends the tries the task carries: all tasks of an in-process round
+    robin share one, while a pickled task brings its own, empty copy.
+    """
+    i, j, source_i, source_j, cfg, seeds, tries = args
     pi = load_program(source_i, game=cfg.game)
     pj = load_program(source_j, game=cfg.game)
-    return i, j, tuple(play_match(pi, pj, replace(cfg, seed=seed)).totals for seed in seeds)
+    node_i = tries.root(i, pi, pj, cfg.game)
+    node_j = tries.root(j, pj, pi, cfg.game)
+    return i, j, tuple(
+        _play(pi, pj, replace(cfg, seed=seed), tries, node_i, node_j).totals for seed in seeds
+    )
 
 
 def round_robin(
@@ -313,6 +418,15 @@ def round_robin(
     (i, j) and, mirrored, of cell (j, i).  Repetitions therefore add
     information only to pairings with a drawing program (and to every
     coin-game pairing, whose board depends on the seed).
+
+    Within the call, a seed-free program is also evaluated only once per
+    distinct history it meets, whoever the opponent: its results are kept
+    in history tries (_HistoryTries), keyed by the program's index and, if
+    it reads opp_source, the opponent's source.  Self-play shares one trie
+    between the seats.  The tries stop growing at TRIE_NODE_CAP nodes and
+    are dropped when the call returns, so no work carries from one call to
+    the next; with jobs > 1 each pairing's task brings its own.  The table
+    is the same as if every round were evaluated.
     """
     if len(entries) < 2:
         raise ArenaError("round robin needs at least two types")
@@ -323,19 +437,20 @@ def round_robin(
     for tag, program in entries:
         _require_valid(program, cfg.game, tag)
     n = len(programs)
-    seed_free = [cfg.game == GAME_IPD and not can_draw(p.tree) for p in programs]
+    seed_free = [_seed_free(p, cfg.game) for p in programs]
     seeds = {
         (i, j): [derive_seed(cfg.seed, "pair", i, j, rep) for rep in range(repetitions)]
         for i in range(n)
         for j in range(n)
     }
+    tries = _HistoryTries()
     tasks = []
     for (i, j), cell_seeds in seeds.items():
         if seed_free[i] and seed_free[j]:
             if i > j:
                 continue  # read from the mirrored (j, i) match
             cell_seeds = cell_seeds[:1]
-        tasks.append((i, j, programs[i].text, programs[j].text, cfg, cell_seeds))
+        tasks.append((i, j, programs[i].text, programs[j].text, cfg, cell_seeds, tries))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

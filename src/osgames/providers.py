@@ -41,7 +41,8 @@ MAX_REPLY_CHARS = 1 << 20
 #: TRANSCRIPT_MESSAGE_CHARS.
 STDERR_TAIL_LINES = 8
 #: How long a fault waits for an agent that closed a pipe to exit, and then
-#: for its stderr to reach end of file.
+#: for its stderr to reach end of file; also how long close waits for an
+#: agent to obey shutdown before it kills it.
 EXIT_GRACE = 5.0
 
 
@@ -131,6 +132,7 @@ class _LineReader:
 
     def __init__(self, stream):
         self._queue: queue.Queue = queue.Queue()
+        self.timed_out = False  # a read found no reply in time
         self.thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
         self.thread.start()
 
@@ -146,6 +148,7 @@ class _LineReader:
         try:
             line = self._queue.get(timeout=timeout)
         except queue.Empty:
+            self.timed_out = True
             raise ProviderError(f"no reply within {timeout} seconds") from None
         if line is None:
             self._queue.put(None)  # a later read fails at once, not after the timeout
@@ -273,14 +276,16 @@ class ExternalProvider(Provider):
         if proc is None:
             return
         self._process = None
-        try:
-            if proc.stdin:
+        if self._reader.timed_out:  # a stalled agent would not read a shutdown
+            proc.kill()
+        else:
+            try:
                 proc.stdin.write(json.dumps({"type": "shutdown"}) + "\n")
                 proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            pass
+            except (BrokenPipeError, OSError):
+                pass
         try:
-            proc.wait(timeout=5)
+            proc.wait(timeout=EXIT_GRACE)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()

@@ -229,11 +229,12 @@ class _Function:
 
 class _Compiled:
     """A tree compiled to closures: its functions by name, and whether it
-    calls a randomness builtin anywhere."""
+    calls a randomness builtin or reads opp_source anywhere."""
 
     def __init__(self, tree: n.Program):
         self.functions = {d.name: _Function(d) for d in tree.defs}
         self.can_draw = False
+        self.reads_opp_source = False
         for d in tree.defs:  # of duplicate names the last wins, body too
             self.functions[d.name].body = self.block(d.body)
 
@@ -430,6 +431,7 @@ class _Compiled:
         if kind is n.StrLit or kind is n.BoolLit:
             return _constant(expr.value)
         if kind is n.Var:
+            self.reads_opp_source = self.reads_opp_source or expr.name == "opp_source"
             return _variable(expr.name, expr.span)
         if kind is n.ListLit:
             return self.list_lit(expr)
@@ -902,6 +904,15 @@ def can_draw(tree: n.Program) -> bool:
     skip deriving one for it.
     """
     return _compiled(tree).can_draw
+
+
+def reads_opp_source(tree: n.Program) -> bool:
+    """Whether the program reads opp_source anywhere, dead code included.
+
+    A program that does not sees the same bindings against every opponent
+    that plays the same history.
+    """
+    return _compiled(tree).reads_opp_source
 
 
 #: Host frames one tree level can take in compiled code (a statement and

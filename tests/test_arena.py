@@ -251,13 +251,13 @@ def test_round_robin_reuse_matches_playing_every_cell(ipd_corpus, corpus, repeti
 
 def count_matches(monkeypatch):
     calls = []
-    real = arena.play_match
+    real = arena._play  # the match loop behind play_match and round_robin
 
-    def counting(pa, pb, cfg):
+    def counting(pa, pb, cfg, *tries_and_nodes):
         calls.append((pa.text, pb.text, cfg.seed))
-        return real(pa, pb, cfg)
+        return real(pa, pb, cfg, *tries_and_nodes)
 
-    monkeypatch.setattr(arena, "play_match", counting)
+    monkeypatch.setattr(arena, "_play", counting)
     return calls
 
 
@@ -292,6 +292,86 @@ def test_round_robin_pairing_with_a_drawing_program_plays_every_repetition(
     # (AllC, AllC) once; (AllC, Flip), (Flip, AllC) and (Flip, Flip) three times each
     assert len(calls) == 1 + 3 * 3
     assert sum(1 for a, b, _ in calls if (a, b) == (allc.text, flip.text)) == 3
+
+
+def count_evaluations(monkeypatch):
+    calls = []
+    real = arena.evaluate
+
+    def counting(tree, env, budget, rng):
+        calls.append(tree)
+        return real(tree, env, budget, rng)
+
+    monkeypatch.setattr(arena, "evaluate", counting)
+    return calls
+
+
+def test_round_robin_evaluates_each_seed_free_history_once(monkeypatch, ipd_corpus):
+    calls = count_evaluations(monkeypatch)
+    round_robin(ipd_corpus, MatchConfig(rounds=5, seed=3))
+    drawing = [tree for tree in calls if can_draw(tree)]
+    # The 3 drawing programs still evaluate every round, in both seats
+    # against all 20 types; the 17 seed-free programs evaluate once per
+    # distinct history (and opponent source, for similarity_tester).
+    assert len(drawing) == 3 * 20 * 2 * 5
+    assert len(calls) == 1038  # 264 matches x 10 = 2640 with no reuse
+
+
+@pytest.mark.parametrize("cap", [0, 40])
+def test_round_robin_tables_do_not_depend_on_the_node_cap(monkeypatch, ipd_corpus, cap):
+    monkeypatch.setattr(arena, "TRIE_NODE_CAP", cap)
+    cfg = MatchConfig(rounds=6, seed=5)
+    calls = count_evaluations(monkeypatch)
+    table = round_robin(ipd_corpus, cfg, repetitions=2)
+    evaluations = len(calls)
+    monkeypatch.undo()
+    expected = reference_round_robin(ipd_corpus, cfg, repetitions=2)
+    assert canonical_json_bytes(table.to_json_dict()) == canonical_json_bytes(
+        expected.to_json_dict()
+    )
+    # 375 matches of 6 rounds; a capped trie saves only what it holds
+    assert (evaluations == 375 * 12) if cap == 0 else (evaluations < 375 * 12)
+
+
+FLAKY_SRC = """fn strategy() {
+    if len(opp_history) > 0 and opp_history[-1] == "D" {
+        return opp_history[3]
+    }
+    return "C"
+}
+"""
+
+
+def test_trie_replay_keeps_every_fault(monkeypatch, alld, tft):
+    # faulty_bot faults in round 0 only; FLAKY faults after an opponent's
+    # D before round 4, and reads round 3 after that.
+    programs = [
+        load_fixture("ipd/faulty_bot.slang"),
+        load_program(FLAKY_SRC, origin="flaky"),
+        alld,
+        tft,
+    ]
+    cfg = MatchConfig(rounds=8, seed=4)
+    pairs = [(i, j) for i in range(len(programs)) for j in range(len(programs))]
+    plain = {(i, j): play_match(programs[i], programs[j], cfg) for i, j in pairs}
+    faulted = {
+        ((i, j)[PLAYER_IDS.index(f.player)], f.player)
+        for (i, j), record in plain.items()
+        for f in record.faults
+    }
+    assert faulted == {(0, "A"), (0, "B"), (1, "A"), (1, "B")}
+    assert {f.round for f in plain[(1, 2)].faults} == {1, 2, 3}
+    expected = {cell: canonical_json_bytes(r.to_json_dict()) for cell, r in plain.items()}
+    tries = arena._HistoryTries()
+    calls = count_evaluations(monkeypatch)
+    for warm in (False, True):
+        del calls[:]
+        for i, j in pairs:
+            pi, pj = programs[i], programs[j]
+            nodes = tries.root(i, pi, pj, cfg.game), tries.root(j, pj, pi, cfg.game)
+            record = arena._play(pi, pj, cfg, tries, *nodes)
+            assert canonical_json_bytes(record.to_json_dict()) == expected[(i, j)]
+        assert (len(calls) == 0) if warm else (0 < len(calls) < 2 * cfg.rounds * len(pairs))
 
 
 def test_round_robin_requires_two_types(allc):

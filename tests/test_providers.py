@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from osgames.providers import (
+    EXIT_GRACE,
     MAX_REPLY_CHARS,
     STDERR_TAIL_LINES,
     TRANSCRIPT_MESSAGE_CHARS,
@@ -102,7 +104,10 @@ def test_external_provider_timeout():
             provider.propose(ctx(1))
         assert "no reply" in str(exc.value)
     finally:
+        started = time.monotonic()
         provider.close()
+    # the stalled agent is killed, not sent a shutdown it would never read
+    assert time.monotonic() - started < EXIT_GRACE / 5
 
 
 def test_external_provider_overlong_reply_is_a_fault():

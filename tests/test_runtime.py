@@ -348,6 +348,26 @@ def test_compiled_form_is_kept_per_tree_not_per_equal_tree():
     assert pickle.loads(pickle.dumps(tree)) == tree  # the cache is not pickled
 
 
+def test_reads_opp_source_is_a_static_flag(comparator, ipd_corpus):
+    from osgames.runtime import reads_opp_source
+
+    corpus = dict(ipd_corpus)
+    dead_branch = (
+        "fn strategy() {\n    if false {\n        return opp_source\n    }\n"
+        '    return "C"\n}\n'
+    )
+    own_source_only = (
+        'fn strategy() {\n    if contains(my_source, "C") {\n        return "C"\n    }\n'
+        '    return "D"\n}\n'
+    )
+    assert reads_opp_source(corpus["similarity_tester"].tree)
+    assert reads_opp_source(comparator.tree)
+    assert reads_opp_source(parse_source(dead_branch))
+    assert not reads_opp_source(corpus["tft"].tree)
+    assert not reads_opp_source(parse_source(own_source_only))
+    assert run(dead_branch)[0] == "C"  # the dead read never runs
+
+
 DEEP_VALUES = """fn strategy() {
     let xs = []
     let ys = []
