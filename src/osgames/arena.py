@@ -16,7 +16,9 @@ from dataclasses import dataclass, field, replace
 from . import games
 from .program import ProgramError, StrategyProgram, load_program
 from .rng import RNG_ALGORITHM, SplitMix64, derive_seed
-from .runtime import Bindings, Budget, CoinView, RuntimeFault, can_draw, evaluate, reads_opp_source
+from .runtime import (
+    Bindings, Budget, CoinView, RuntimeFault, can_draw, evaluate, legal_actions, reads_opp_source,
+)
 from .slang.validator import GAME_COIN, GAME_IPD, GAMES, validate
 
 SCHEMA_MATCH = "osgames.match/1"
@@ -41,8 +43,7 @@ class MatchConfig:
             raise ValueError(f"unknown game kind {self.game!r}")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
-        legal = games.IPD_ACTIONS if self.game == GAME_IPD else games.MOVES
-        if self.fallback is not None and self.fallback not in legal:
+        if self.fallback is not None and self.fallback not in legal_actions(self.game):
             raise ValueError(f"fallback {self.fallback!r} is not legal for {self.game}")
 
     @property

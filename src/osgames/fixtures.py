@@ -30,15 +30,19 @@ def load_corpus_sources(subdir: str = "ipd") -> list[tuple[str, SourceText]]:
     return out
 
 
+def _game_of(subdir: str) -> str:
+    """The game a corpus subdirectory's programs are written for."""
+    return GAME_COIN if subdir == "coin" else GAME_IPD
+
+
 def load_corpus_programs(subdir: str = "ipd") -> list[tuple[str, StrategyProgram]]:
-    game = GAME_COIN if subdir == "coin" else GAME_IPD
     return [
-        (path.stem, load_program_file(path, game=game))
+        (path.stem, load_program_file(path, game=_game_of(subdir)))
         for path in sorted((corpus_dir() / subdir).glob("*.slang"))
     ]
 
 
 def load_fixture(relative: str) -> StrategyProgram:
-    path = corpus_path(relative)
-    game = GAME_COIN if relative.startswith("coin/") else GAME_IPD
-    return load_program_file(path, game=game)
+    return load_program_file(
+        corpus_path(relative), game=_game_of(relative.partition("/")[0])
+    )

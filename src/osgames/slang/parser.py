@@ -13,8 +13,9 @@ Grammar (documented in docs/slang.md):
                | "return" expr
                | expr ;
 
-Expressions follow the usual precedence ladder (or < and < not < comparison
-< additive < multiplicative < unary minus < call/index).  A binary operator,
+Expressions are parsed by precedence climbing over BINARY_PREC, with `not`
+and unary `-` as prefix levels (NOT_PREC, NEG_PREC); docs/slang.md gives
+the same table and its rules.  A binary operator,
 call `(` or index `[` may not start a new line unless it appears inside an
 open `(`/`[` group; this makes statement boundaries unambiguous and lets the
 pretty-printer's one-statement-per-line output reparse to the same tree.
@@ -25,14 +26,33 @@ span and the set of token descriptions that would have been accepted.
 
 from __future__ import annotations
 
+import re
+
 from . import nodes as n
 from .tokens import Span, Token, TokenKind, SourceText, tokenize
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+#: Binding strength of each binary operator, higher binding tighter.  The
+#: parser climbs this table and the renderer parenthesizes by it.
+#: Comparisons do not chain; the other operators associate left.
+BINARY_PREC = {
+    "or": 1,
+    "and": 2,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+COMPARISON_PREC = BINARY_PREC["=="]
+#: Levels of the prefix operators: `not` binds between `and` and the
+#: comparisons, unary `-` tighter than any binary operator.
+NOT_PREC = 3
+NEG_PREC = 7
 
-_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
-_ADDITIVE = ("+", "-")
-_MULTIPLICATIVE = ("*", "/", "%")
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r"\\([\s\S]?)")
+
+#: Longest integer literal accepted: CPython's lowest settable limit on
+#: int-from-text conversion, so a literal parses alike on every host.
+MAX_INT_DIGITS = 640
 
 #: Nesting caps keep adversarial inputs (thousands of nested parentheses,
 #: blocks, or operator chains inside the 64 KiB source budget) from
@@ -52,23 +72,13 @@ class ParseError(Exception):
 
 
 def _decode_string(token: Token) -> str:
-    raw = token.lexeme[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\":
-            if i + 1 >= len(raw) or raw[i + 1] not in _ESCAPES:
-                raise ParseError(
-                    "unsupported escape sequence in string",
-                    Span(token.span.start + 1 + i, token.span.start + 3 + i),
-                )
-            out.append(_ESCAPES[raw[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    def unescape(m: re.Match) -> str:
+        if m[1] not in _ESCAPES:
+            at = token.span.start + 1 + m.start()
+            raise ParseError("unsupported escape sequence in string", Span(at, at + 2))
+        return _ESCAPES[m[1]]
+
+    return _ESCAPE.sub(unescape, token.lexeme[1:-1])
 
 
 class _Parser:
@@ -294,69 +304,49 @@ class _Parser:
         if self.expr_depth > MAX_EXPR_NESTING:
             raise ParseError("expression nested too deeply", self._here())
         try:
-            return self._or()
+            return self._binary(1)
         finally:
             self.expr_depth -= 1
 
-    def _binary_loop(self, sub, ops: tuple[str, ...]) -> n.Expr:
-        left = sub()
-        while self._same_line() and self._peek_op_in(ops):
-            op = self._advance().lexeme
-            right = sub()
-            left = n.Binary(op, left, right, span=Span(left.span.start, right.span.end))
+    def _binary(self, floor: int) -> n.Expr:
+        """Parse the operators that bind at `floor` or tighter.
+
+        At `not` level and below, an operand takes every operator that binds
+        at `not` or tighter, so the loop only joins `and`/`or`; after one
+        comparison, no further comparison joins (they do not chain).
+        """
+        if floor <= NOT_PREC:
+            prefixes = self._prefixes("not")
+            left = self._binary(COMPARISON_PREC)
+            ceiling = NOT_PREC - 1
+        else:
+            prefixes = self._prefixes("-")
+            left = self._postfix()
+            ceiling = NEG_PREC
+        for tok in reversed(prefixes):
+            left = n.Unary(tok.lexeme, left, span=Span(tok.span.start, left.span.end))
+        while self._same_line():
+            tok = self._peek()
+            prec = BINARY_PREC.get(tok.lexeme, 0) if tok is not None else 0
+            if not floor <= prec <= ceiling:
+                break
+            self._advance()
+            right = self._binary(prec + 1)
+            left = n.Binary(
+                tok.lexeme, left, right, span=Span(left.span.start, right.span.end)
+            )
+            if prec == COMPARISON_PREC:
+                ceiling = prec - 1
         return left
 
-    def _peek_op_in(self, ops: tuple[str, ...]) -> bool:
-        tok = self._peek()
-        if tok is None:
-            return False
-        if tok.kind is TokenKind.OP:
-            return tok.lexeme in ops
-        if tok.kind is TokenKind.KEYWORD:
-            return tok.lexeme in ops
-        return False
-
-    def _or(self) -> n.Expr:
-        return self._binary_loop(self._and, ("or",))
-
-    def _and(self) -> n.Expr:
-        return self._binary_loop(self._not, ("and",))
-
-    def _not(self) -> n.Expr:
+    def _prefixes(self, op: str) -> list[Token]:
+        """Consume a run of the prefix operator `op` (`not` or `-`)."""
         prefixes: list[Token] = []
-        while self._check(TokenKind.KEYWORD, "not"):
+        while (tok := self._peek()) is not None and tok.lexeme == op:
             prefixes.append(self._advance())
             if len(prefixes) > MAX_EXPR_NESTING:
-                raise ParseError("expression nested too deeply", prefixes[-1].span)
-        expr = self._comparison()
-        for tok in reversed(prefixes):
-            expr = n.Unary("not", expr, span=Span(tok.span.start, expr.span.end))
-        return expr
-
-    def _comparison(self) -> n.Expr:
-        left = self._additive()
-        if self._same_line() and self._peek_op_in(_COMPARISONS):
-            op = self._advance().lexeme
-            right = self._additive()
-            return n.Binary(op, left, right, span=Span(left.span.start, right.span.end))
-        return left
-
-    def _additive(self) -> n.Expr:
-        return self._binary_loop(self._multiplicative, _ADDITIVE)
-
-    def _multiplicative(self) -> n.Expr:
-        return self._binary_loop(self._unary, _MULTIPLICATIVE)
-
-    def _unary(self) -> n.Expr:
-        prefixes: list[Token] = []
-        while self._check(TokenKind.OP, "-"):
-            prefixes.append(self._advance())
-            if len(prefixes) > MAX_EXPR_NESTING:
-                raise ParseError("expression nested too deeply", prefixes[-1].span)
-        expr = self._postfix()
-        for tok in reversed(prefixes):
-            expr = n.Unary("-", expr, span=Span(tok.span.start, expr.span.end))
-        return expr
+                raise ParseError("expression nested too deeply", tok.span)
+        return prefixes
 
     def _postfix(self) -> n.Expr:
         expr = self._primary()
@@ -397,6 +387,8 @@ class _Parser:
         if tok is None:
             self._error("expected expression", expected=("expression",))
         if tok.kind is TokenKind.INT:
+            if len(tok.lexeme) > MAX_INT_DIGITS:
+                self._error(f"integer literal longer than {MAX_INT_DIGITS} digits")
             self._advance()
             return n.IntLit(int(tok.lexeme), span=tok.span)
         if tok.kind is TokenKind.STRING:

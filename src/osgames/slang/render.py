@@ -8,20 +8,11 @@ equal to the input, which is what the source transforms rely on.
 from __future__ import annotations
 
 from . import nodes as n
+from .parser import BINARY_PREC, COMPARISON_PREC, NEG_PREC, NOT_PREC
 from .tokens import SourceText
 
 _INDENT = "    "
 
-# Binding strength; higher binds tighter.
-_PREC = {
-    "or": 1,
-    "and": 2,
-    "not": 3,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-    "u-": 7,
-}
 _ATOM = 10
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
@@ -33,9 +24,9 @@ def _escape(value: str) -> str:
 
 def _prec(expr: n.Expr) -> int:
     if isinstance(expr, n.Binary):
-        return _PREC[expr.op]
+        return BINARY_PREC[expr.op]
     if isinstance(expr, n.Unary):
-        return _PREC["u-" if expr.op == "-" else "not"]
+        return NEG_PREC if expr.op == "-" else NOT_PREC
     return _ATOM
 
 
@@ -49,14 +40,13 @@ def _emit(expr: n.Expr) -> str:
     if isinstance(expr, n.Var):
         return expr.name
     if isinstance(expr, n.Unary):
-        me = _PREC["u-" if expr.op == "-" else "not"]
-        inner = _wrap(expr.operand, me)
+        inner = _wrap(expr.operand, _prec(expr))
         return f"-{inner}" if expr.op == "-" else f"not {inner}"
     if isinstance(expr, n.Binary):
-        me = _PREC[expr.op]
+        me = BINARY_PREC[expr.op]
         # Comparisons are non-associative: parenthesize equal precedence on
         # both sides.  Everything else is left-associative.
-        left_min = me + 1 if me == 4 else me
+        left_min = me + 1 if me == COMPARISON_PREC else me
         left = _wrap(expr.left, left_min)
         right = _wrap(expr.right, me + 1)
         return f"{left} {expr.op} {right}"

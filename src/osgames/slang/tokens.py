@@ -9,6 +9,7 @@ them without disturbing anything else.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,12 +22,6 @@ KEYWORDS = frozenset(
         "return", "and", "or", "not", "true", "false",
     }
 )
-
-#: Multi-character operators first so maximal munch works by scanning in order.
-OPERATORS = ("==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "%", "=")
-
-DELIMITERS = "(){}[],"
-
 
 class TokenKind(Enum):
     KEYWORD = "keyword"
@@ -75,12 +70,29 @@ def line_col(text: str, offset: int) -> tuple[int, int]:
     return line, offset - last_nl
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+#: One alternative per token shape, tried in this order at each position.
+#: Named groups that are TokenKind names become tokens; the rest are skipped
+#: or reported.  IDENT is a word character that is not a decimal digit, then
+#: word characters; INT is decimal digits; a string holds any character but
+#: a quote, backslash or newline, or a backslash and any one character (the
+#: parser decides which escapes are legal); an unterminated string runs to
+#: the newline or the end of the text, a final lone backslash included;
+#: two-character operators come before their one-character prefixes.
+_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE>\n)
+    | (?P<BLANK>[ \t\r]+)
+    | (?P<COMMENT>\#[^\n]*)
+    | (?P<IDENT>[^\W\d]\w*)
+    | (?P<INT>\d+)
+    | (?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<UNTERMINATED>"(?:[^"\\\n]|\\[\s\S])*\\?)
+    | (?P<OP>[=!<>]=|[-+*/%<>=])
+    | (?P<DELIM>[(){}\[\],])
+    | (?P<ILLEGAL>[\s\S])
+    """,
+    re.VERBOSE,
+)
 
 
 def tokenize(src: SourceText | str, max_bytes: int = MAX_SOURCE_BYTES) -> list[Token]:
@@ -92,59 +104,21 @@ def tokenize(src: SourceText | str, max_bytes: int = MAX_SOURCE_BYTES) -> list[T
         )
 
     tokens: list[Token] = []
-    i = 0
     line = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group == "BLANK":
+            continue
+        if group == "NEWLINE":
             line += 1
-            i += 1
             continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        start = i
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            tokens.append(Token(TokenKind.COMMENT, text[start:i], Span(start, i), line))
-            continue
-        if _is_ident_start(ch):
-            while i < n and _is_ident_char(text[i]):
-                i += 1
-            lexeme = text[start:i]
-            kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, lexeme, Span(start, i), line))
-            continue
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(Token(TokenKind.INT, text[start:i], Span(start, i), line))
-            continue
-        if ch == '"':
-            i += 1
-            while i < n and text[i] not in ('"', "\n"):
-                if text[i] == "\\":
-                    i += 1  # skip the escaped character (checked by the parser)
-                i += 1
-            if i >= n or text[i] != '"':
-                raise LexError("unterminated string", Span(start, min(i, n)))
-            i += 1
-            tokens.append(Token(TokenKind.STRING, text[start:i], Span(start, i), line))
-            continue
-        matched = False
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                i += len(op)
-                tokens.append(Token(TokenKind.OP, op, Span(start, i), line))
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in DELIMITERS:
-            i += 1
-            tokens.append(Token(TokenKind.DELIM, ch, Span(start, i), line))
-            continue
-        raise LexError(f"illegal character {ch!r}", Span(start, start + 1))
+        span = Span(*m.span())
+        if group == "UNTERMINATED":
+            raise LexError("unterminated string", span)
+        lexeme = m.group()
+        if group == "ILLEGAL":
+            raise LexError(f"illegal character {lexeme!r}", span)
+        if group == "IDENT" and lexeme in KEYWORDS:
+            group = "KEYWORD"
+        tokens.append(Token(TokenKind[group], lexeme, span, line))
     return tokens

@@ -52,6 +52,15 @@ def test_match_invalid_program_exit_2(tmp_path, capsys):
     assert "not available in this game" in err
 
 
+@pytest.mark.parametrize("literal", ["²", "1" * 5000], ids=["superscript", "5000-digits"])
+def test_match_bad_numeral_exit_2(tmp_path, capsys, literal):
+    bad = tmp_path / "numeral.slang"
+    bad.write_text("fn strategy() {\n    return " + literal + "\n}\n", encoding="utf-8")
+    code, _, err = run(["match", str(bad), ALLD], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {bad}:2:12: ")
+
+
 def test_match_with_faults_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OSGAMES_OUT_DIR", str(tmp_path))
     crasher = tmp_path / "crash.slang"

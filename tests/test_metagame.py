@@ -218,3 +218,19 @@ def test_judge_label_merge():
     with pytest.raises(MetaGameError):
         merge_judge_labels(record, [{"meta_round": 1, "player": "a", "labels": {"bogus": True}}])
     assert len(JUDGE_FEATURES) == 5
+
+
+@pytest.mark.parametrize("literal", ["²", "1" * 5000], ids=["superscript", "5000-digits"])
+def test_bad_numeral_in_meta_round_two_is_a_recorded_provider_fault(literal):
+    bad = "fn strategy() {\n    return " + literal + "\n}\n"
+    record = run_meta_game(
+        ScriptedProvider("a", schedule=[(1, ALLC), (2, bad)]),
+        StaticProvider("b", source=ALLC),
+        meta_rounds=2,
+        cfg=MatchConfig(rounds=10, seed=0),
+    )
+    assert record.rounds[0].provider_faults == ()
+    (fault,) = record.rounds[1].provider_faults
+    assert fault.startswith("a: a@r2:2:")
+    assert fault.endswith("; reusing previous source")
+    assert record.rounds[1].sources[0] == ALLC

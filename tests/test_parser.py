@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from osgames.fixtures import load_corpus_sources
+from osgames.program import ProgramError, load_program
 from osgames.slang import ParseError, parse_source
 from osgames.slang import nodes as n
+from osgames.slang.parser import MAX_INT_DIGITS
 
 TFT = """fn strategy() {
     if len(my_history) == 0 {
@@ -194,3 +196,44 @@ def test_elif_else_chain():
     assert isinstance(stmt, n.If)
     assert len(stmt.arms) == 2
     assert stmt.orelse is not None
+
+
+def test_chained_comparison_rejected_at_second_operator():
+    with pytest.raises(ProgramError) as exc:
+        load_program("fn strategy() {\n return 1 == 2 == 3\n}", game=None)
+    assert str(exc.value) == "<memory>:2:16: expected expression, found '=='"
+
+
+def test_not_binds_between_and_and_comparison():
+    src = "fn strategy() {\n    return not 1 < 2 and true\n}\n"
+    expr = parse_source(src).defs[0].body[0].value
+    assert expr == n.Binary(
+        "and",
+        n.Unary("not", n.Binary("<", n.IntLit(1), n.IntLit(2))),
+        n.BoolLit(True),
+    )
+    # spans: `not 1 < 2` covers 27..36, the whole `and` 27..45
+    assert (expr.span.start, expr.span.end) == (27, 45)
+    assert (expr.left.span.start, expr.left.span.end) == (27, 36)
+    assert (expr.left.operand.span.start, expr.left.operand.span.end) == (31, 36)
+
+
+def test_integer_literal_digit_cap():
+    longest = "7" * MAX_INT_DIGITS
+    src = "fn strategy() {\n    return " + longest + "\n}\n"
+    assert parse_source(src).defs[0].body[0].value == n.IntLit(int(longest))
+    with pytest.raises(ParseError) as exc:
+        parse_source("fn strategy() {\n    return 1" + longest + "\n}\n")
+    assert exc.value.message == "integer literal longer than 640 digits"
+    assert (exc.value.span.start, exc.value.span.end) == (27, 27 + MAX_INT_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["return ²", "return 1²", "return " + "1" * 5000, "return ½"],
+    ids=["superscript", "digit-superscript", "5000-digits", "fraction"],
+)
+def test_numeral_edge_cases_are_program_errors(body):
+    with pytest.raises(ProgramError) as exc:
+        load_program("fn strategy() {\n    " + body + "\n}\n")
+    assert str(exc.value).startswith("<memory>:2:")

@@ -104,3 +104,47 @@ def test_keywords_vs_identifiers():
 def test_tokenize_is_deterministic():
     text = 'fn strategy() { return "C" } # tail'
     assert kinds(text) == kinds(text)
+
+
+def test_numerals_by_unicode_category():
+    # INT is decimal digits of any script; other numerals such as `²` or
+    # `½` are word characters and so may only appear inside identifiers.
+    assert kinds("٣ 1² ½x") == [
+        (TokenKind.INT, "٣"),
+        (TokenKind.INT, "1"),
+        (TokenKind.IDENT, "²"),
+        (TokenKind.IDENT, "½x"),
+    ]
+
+
+def test_escaped_newline_stays_in_the_string_token():
+    # A backslash escapes any one character in the lexer, a newline too;
+    # the parser rejects the escape.  Lines count only unescaped newlines.
+    toks = tokenize('"a\\\nb" x\ny')
+    assert [(t.kind, t.lexeme, t.line) for t in toks] == [
+        (TokenKind.STRING, '"a\\\nb"', 1),
+        (TokenKind.IDENT, "x", 1),
+        (TokenKind.IDENT, "y", 2),
+    ]
+
+
+def test_unterminated_string_spans_to_newline_or_end():
+    for text, end in [('x = "ab\ncd"', 7), ('x = "ab\\', 8), ('x = "a\\"', 8)]:
+        with pytest.raises(LexError) as exc:
+            tokenize(text)
+        assert exc.value.message == "unterminated string"
+        assert (exc.value.span.start, exc.value.span.end) == (4, end)
+
+
+def test_operators_munch_two_characters_first():
+    assert kinds("a<=b==c!=d>=e<f=g") == [
+        (TokenKind.IDENT, "a"), (TokenKind.OP, "<="), (TokenKind.IDENT, "b"),
+        (TokenKind.OP, "=="), (TokenKind.IDENT, "c"), (TokenKind.OP, "!="),
+        (TokenKind.IDENT, "d"), (TokenKind.OP, ">="), (TokenKind.IDENT, "e"),
+        (TokenKind.OP, "<"), (TokenKind.IDENT, "f"), (TokenKind.OP, "="),
+        (TokenKind.IDENT, "g"),
+    ]
+    with pytest.raises(LexError) as exc:
+        tokenize("a ! b")
+    assert exc.value.message == "illegal character '!'"
+    assert (exc.value.span.start, exc.value.span.end) == (2, 3)
