@@ -127,6 +127,8 @@ def cmd_meta(args) -> int:
             sidecar = json.loads(Path(args.judge_labels).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read judge labels: {exc}") from exc
+        if not isinstance(sidecar, list):
+            raise CliError(f"judge labels {args.judge_labels} must be a list of entries")
     outdir = _out_path(args.out, "meta_run")
     base_cfg = _match_config(args)
     artifacts = []
@@ -143,10 +145,11 @@ def cmd_meta(args) -> int:
         except (MetaGameError, ProviderError) as exc:
             raise CliError(str(exc)) from exc
         if sidecar is not None:
-            entries = [
-                e for e in sidecar if "seed" not in e or int(e["seed"]) == seed
-            ]
-            record = merge_judge_labels(record, entries)
+            try:
+                entries = [e for e in sidecar if "seed" not in e or int(e["seed"]) == seed]
+                record = merge_judge_labels(record, entries)
+            except (MetaGameError, TypeError, ValueError) as exc:  # or a seed int() rejects
+                raise CliError(f"bad judge labels {args.judge_labels}: {exc}") from exc
         path = outdir / f"meta_seed{seed}.json"
         atomic_write_json(path, record.to_json_dict())
         artifacts.append(path)

@@ -109,9 +109,8 @@ def integrate(
     x0,
     dt: float = 0.01,
     steps: int = 20_000,
-    method: str = "rk4",
 ) -> Trajectory:
-    """Fixed-step integration on the simplex.
+    """Fixed-step classical Runge-Kutta (RK4) integration on the simplex.
 
     Every stored state is clipped (tiny negatives to zero) and renormalized,
     so the simplex invariants hold along the whole trajectory.
@@ -119,8 +118,6 @@ def integrate(
     a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if method not in ("rk4", "euler"):
-        raise ValueError(f"unknown method {method!r}")
     x = _as_simplex(x0, a.shape[0])
     states = np.empty((steps + 1, a.shape[0]))
     states[0] = x
@@ -130,14 +127,11 @@ def integrate(
         return y * (fitness - y @ fitness)
 
     for k in range(1, steps + 1):
-        if method == "rk4":
-            k1 = f(x)
-            k2 = f(x + 0.5 * dt * k1)
-            k3 = f(x + 0.5 * dt * k2)
-            k4 = f(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            x = x + dt * f(x)
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = np.clip(x, 0.0, None)
         x = x / x.sum()
         states[k] = x

@@ -179,19 +179,24 @@ def merge_judge_labels(record: MetaGameRecord, sidecar: list[dict]) -> MetaGameR
     """Attach externally produced judge labels to their meta-rounds.
 
     Sidecar entries: {"meta_round": k, "player": "a"|"b",
-    "labels": {feature: bool}}; unknown features are rejected.
+    "labels": {feature: bool}}; unknown features are rejected, and so is a
+    malformed entry, by a MetaGameError naming it.
     """
     by_round: dict[int, dict] = {}
-    for entry in sidecar:
-        k = int(entry["meta_round"])
-        player = entry["player"].lower()
-        if player not in ("a", "b"):
-            raise MetaGameError(f"bad judge player {entry['player']!r}")
-        labels = entry["labels"]
+    for i, entry in enumerate(sidecar):
+        if not isinstance(entry, dict):
+            raise MetaGameError(f"judge entry {i} must be an object, got {entry!r}")
+        k, player, labels = entry.get("meta_round"), entry.get("player"), entry.get("labels")
+        if type(k) is not int:
+            raise MetaGameError(f"judge entry {i} needs an integer meta_round, got {k!r}")
+        if not isinstance(player, str) or player.lower() not in ("a", "b"):
+            raise MetaGameError(f"judge entry {i} has bad judge player {player!r}")
+        if not isinstance(labels, dict):
+            raise MetaGameError(f"judge entry {i} labels must be an object, got {labels!r}")
         for feature in labels:
             if feature not in JUDGE_FEATURES:
-                raise MetaGameError(f"unknown judge feature {feature!r}")
-        by_round.setdefault(k, {})[player] = dict(labels)
+                raise MetaGameError(f"judge entry {i} has unknown judge feature {feature!r}")
+        by_round.setdefault(k, {})[player.lower()] = dict(labels)
     rounds = tuple(
         replace(r, judge_labels=by_round.get(r.meta_round, r.judge_labels))
         for r in record.rounds

@@ -65,77 +65,66 @@ class MetricsReport:
         }
 
 
+def _stmts_and_exprs(tree: n.Program):
+    """Every statement of every function, each followed by its expressions."""
+    for d in tree.defs:
+        for stmt in n.walk_stmts(d.body):
+            yield stmt
+            for top in n.child_exprs(stmt):
+                yield from n.walk_exprs(top)
+
+
 def cyclomatic(tree: n.Program) -> int:
     """1 + the number of branch points (if, elif, while, for, and, or)."""
     branches = 0
-    for d in tree.defs:
-        for stmt in n.walk_stmts(d.body):
-            if isinstance(stmt, n.If):
-                branches += len(stmt.arms)  # the if plus each elif
-            elif isinstance(stmt, (n.While, n.For)):
-                branches += 1
-    for expr in n.walk_program_exprs(tree):
-        if isinstance(expr, n.Binary) and expr.op in ("and", "or"):
+    for node in _stmts_and_exprs(tree):
+        kind = type(node)
+        if kind is n.If:
+            branches += len(node.arms)  # the if plus each elif
+        elif kind is n.While or kind is n.For:
+            branches += 1
+        elif kind is n.Binary and node.op in ("and", "or"):
             branches += 1
     return 1 + branches
+
+
+#: Operators each node class counts, besides Unary/Binary's own operator and
+#: If's elif and else keywords.  List and pair literals are pure grouping:
+#: neither operator nor operand.
+_OPERATORS = {
+    n.Call: ("call",),
+    n.Index: ("index",),
+    n.Let: ("let", "="),
+    n.Assign: ("=",),
+    n.If: ("if",),
+    n.While: ("while",),
+    n.For: ("for", "in"),
+    n.Return: ("return",),
+}
+_LITERALS = {n.IntLit: "int", n.StrLit: "str", n.BoolLit: "bool"}
 
 
 def halstead(tree: n.Program) -> HalsteadReport:
     operators: Counter = Counter()
     operands: Counter = Counter()
-
-    def operand_id(name: str) -> None:
-        operands[("id", name)] += 1
-
-    def count_expr(expr: n.Expr) -> None:
-        if isinstance(expr, n.IntLit):
-            operands[("int", expr.value)] += 1
-        elif isinstance(expr, n.StrLit):
-            operands[("str", expr.value)] += 1
-        elif isinstance(expr, n.BoolLit):
-            operands[("bool", expr.value)] += 1
-        elif isinstance(expr, n.Var):
-            operand_id(expr.name)
-        elif isinstance(expr, n.Unary):
-            operators[expr.op] += 1
-        elif isinstance(expr, n.Binary):
-            operators[expr.op] += 1
-        elif isinstance(expr, n.Call):
-            operators["call"] += 1
-            operand_id(expr.name)
-        elif isinstance(expr, n.Index):
-            operators["index"] += 1
-        # list/pair literals are pure grouping: neither operator nor operand
-
     for d in tree.defs:
         operators["fn"] += 1
-        operand_id(d.name)
-        for p in d.params:
-            operand_id(p)
-        for stmt in n.walk_stmts(d.body):
-            if isinstance(stmt, n.Let):
-                operators["let"] += 1
-                operators["="] += 1
-                operand_id(stmt.name)
-            elif isinstance(stmt, n.Assign):
-                operators["="] += 1
-                operand_id(stmt.name)
-            elif isinstance(stmt, n.If):
-                operators["if"] += 1
-                operators["elif"] += len(stmt.arms) - 1
-                if stmt.orelse is not None:
-                    operators["else"] += 1
-            elif isinstance(stmt, n.While):
-                operators["while"] += 1
-            elif isinstance(stmt, n.For):
-                operators["for"] += 1
-                operators["in"] += 1
-                operand_id(stmt.var)
-            elif isinstance(stmt, n.Return):
-                operators["return"] += 1
-            for top in n.child_exprs(stmt):
-                for expr in n.walk_exprs(top):
-                    count_expr(expr)
+        for name in (d.name,) + d.params:
+            operands[("id", name)] += 1
+    for node in _stmts_and_exprs(tree):
+        kind = type(node)
+        for op in _OPERATORS.get(kind, ()):
+            operators[op] += 1
+        if kind in _LITERALS:
+            operands[(_LITERALS[kind], node.value)] += 1
+        elif kind in n.NAME_FIELD:
+            operands[("id", getattr(node, n.NAME_FIELD[kind]))] += 1
+        if kind is n.Unary or kind is n.Binary:
+            operators[node.op] += 1
+        elif kind is n.If:
+            operators["elif"] += len(node.arms) - 1
+            if node.orelse is not None:
+                operators["else"] += 1
 
     eta1 = sum(1 for c in operators.values() if c)
     eta2 = sum(1 for c in operands.values() if c)
@@ -158,67 +147,57 @@ def _expr_tainted(expr: n.Expr, tainted: set[str]) -> bool:
     return False
 
 
-def _propagate(block: n.Block, tainted: set[str], ctx: bool) -> bool:
-    """One propagation pass; returns True if the tainted set grew."""
+def _taint_pass(block: n.Block, tainted: set[str], ctx: bool, sites: list[bool]) -> bool:
+    """One pass over a block under a tainted (ctx) or clean control context.
+
+    Taints assigned names and appends each decision site's taint to
+    `sites`; returns True if the tainted set grew, so only the sites of a
+    pass that returns False are final.
+    """
     changed = False
-
-    def taint(name: str):
-        nonlocal changed
-        if name not in tainted and name not in AMBIENT_BINDINGS:
-            tainted.add(name)
-            changed = True
-
     for stmt in block:
-        if isinstance(stmt, (n.Let, n.Assign)):
+        kind = type(stmt)
+        if kind is n.Let or kind is n.Assign:
             if ctx or _expr_tainted(stmt.value, tainted):
-                taint(stmt.name)
-        elif isinstance(stmt, n.If):
+                changed |= _taint(stmt.name, tainted)
+        elif kind is n.Return:
+            sites.append(ctx or _expr_tainted(stmt.value, tainted))
+        elif kind is n.If:
             # A body is control-dependent on its own condition and every
             # condition before it in the chain; the else arm on all of them.
             running = ctx
             for cond, body in stmt.arms:
-                running = running or _expr_tainted(cond, tainted)
-                changed |= _propagate(body, tainted, running)
+                sites.append(_expr_tainted(cond, tainted))
+                running = running or sites[-1]
+                changed |= _taint_pass(body, tainted, running, sites)
             if stmt.orelse is not None:
-                changed |= _propagate(stmt.orelse, tainted, running)
-        elif isinstance(stmt, n.While):
-            inner = ctx or _expr_tainted(stmt.cond, tainted)
-            changed |= _propagate(stmt.body, tainted, inner)
-        elif isinstance(stmt, n.For):
-            inner = ctx or _expr_tainted(stmt.iterable, tainted)
-            if inner:
-                taint(stmt.var)
-            changed |= _propagate(stmt.body, tainted, inner)
+                changed |= _taint_pass(stmt.orelse, tainted, running, sites)
+        elif kind is n.While or kind is n.For:
+            head = stmt.cond if kind is n.While else stmt.iterable
+            sites.append(_expr_tainted(head, tainted))
+            inner = ctx or sites[-1]
+            if kind is n.For and inner:
+                changed |= _taint(stmt.var, tainted)
+            changed |= _taint_pass(stmt.body, tainted, inner, sites)
     return changed
 
 
-def _collect_sites(block: n.Block, tainted: set[str], ctx: bool, out: list[bool]):
-    for stmt in block:
-        if isinstance(stmt, n.If):
-            running = ctx
-            for cond, body in stmt.arms:
-                out.append(_expr_tainted(cond, tainted))
-                running = running or out[-1]
-                _collect_sites(body, tainted, running, out)
-            if stmt.orelse is not None:
-                _collect_sites(stmt.orelse, tainted, running, out)
-        elif isinstance(stmt, n.While):
-            out.append(_expr_tainted(stmt.cond, tainted))
-            _collect_sites(stmt.body, tainted, ctx or out[-1], out)
-        elif isinstance(stmt, n.For):
-            out.append(_expr_tainted(stmt.iterable, tainted))
-            _collect_sites(stmt.body, tainted, ctx or out[-1], out)
-        elif isinstance(stmt, n.Return):
-            out.append(ctx or _expr_tainted(stmt.value, tainted))
+def _taint(name: str, tainted: set[str]) -> bool:
+    if name in tainted or name in AMBIENT_BINDINGS:
+        return False
+    tainted.add(name)
+    return True
 
 
 def osas(tree: n.Program) -> OsasReport:
     sites: list[bool] = []
     for d in tree.defs:
         tainted: set[str] = set()
-        while _propagate(d.body, tainted, False):
-            pass
-        _collect_sites(d.body, tainted, False, sites)
+        while True:
+            def_sites: list[bool] = []
+            if not _taint_pass(d.body, tainted, False, def_sites):
+                break
+        sites += def_sites
     total = len(sites)
     hits = sum(sites)
     score = hits / total if total else 0.0

@@ -20,6 +20,7 @@ Wire protocol (one JSON object per line):
 from __future__ import annotations
 
 import json
+import math
 import queue
 import subprocess
 import threading
@@ -304,33 +305,46 @@ class ExternalProvider(Provider):
 
 
 def provider_from_spec(spec: dict, provider_id: str) -> Provider:
-    """Build a provider from its JSON config entry."""
+    """Build a provider from its JSON config entry; a malformed entry raises
+    ProviderError naming it."""
+    where = f"provider {provider_id!r}"
+    if not isinstance(spec, dict):
+        raise ProviderError(f"{where} must be an object, got {spec!r}")
     kind = spec.get("kind", "static")
     tag = spec.get("tag", "")
     if kind == "static":
-        return StaticProvider(provider_id, tag, source=_read_source(spec))
+        return StaticProvider(provider_id, tag, source=_read_source(spec, where))
     if kind == "scripted":
+        entries = spec.get("schedule", [])
+        if not isinstance(entries, list) or not entries:
+            raise ProviderError(f"scripted {where} needs a non-empty schedule list")
         schedule = []
-        for entry in spec.get("schedule", []):
-            schedule.append((int(entry["from_round"]), _read_source(entry)))
-        if not schedule:
-            raise ProviderError("scripted provider needs a non-empty schedule")
+        for i, entry in enumerate(entries):
+            at = f"{where} schedule entry {i}"
+            start = entry.get("from_round") if isinstance(entry, dict) else None
+            if type(start) is not int:
+                raise ProviderError(f"{at} needs an integer from_round")
+            schedule.append((start, _read_source(entry, at)))
         schedule.sort(key=lambda e: e[0])
         return ScriptedProvider(provider_id, tag, schedule=schedule)
     if kind == "external":
         command = spec.get("command")
-        if not isinstance(command, list) or not command:
-            raise ProviderError("external provider needs a command list")
-        timeout = float(spec.get("timeout", DEFAULT_TIMEOUT))
-        return ExternalProvider(provider_id, tag, command=command, timeout=timeout)
-    raise ProviderError(f"unknown provider kind {kind!r}")
+        if not isinstance(command, list) or not command or not all(
+            isinstance(part, str) for part in command
+        ):
+            raise ProviderError(f"external {where} needs a command list of strings")
+        timeout = spec.get("timeout", DEFAULT_TIMEOUT)
+        if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
+            raise ProviderError(f"{where} timeout must be a positive number, got {timeout!r}")
+        return ExternalProvider(provider_id, tag, command=command, timeout=float(timeout))
+    raise ProviderError(f"{where} has unknown kind {kind!r}")
 
 
-def _read_source(spec: dict) -> str:
-    if "source" in spec:
+def _read_source(spec: dict, where: str) -> str:
+    if isinstance(spec.get("source"), str):
         return spec["source"]
-    if "path" in spec:
+    if isinstance(spec.get("path"), str):
         from pathlib import Path
 
         return Path(spec["path"]).read_text(encoding="utf-8")
-    raise ProviderError("provider entry needs 'source' or 'path'")
+    raise ProviderError(f"{where} needs a 'source' or 'path' string")

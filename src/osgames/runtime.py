@@ -17,6 +17,7 @@ compiled form is kept on the tree object and reused for every later round.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -131,30 +132,52 @@ def type_name(value) -> str:
     return type(value).__name__
 
 
-def slang_eq(a, b) -> bool:
+def slang_eq(a, b, ctx: _Ctx | None = None) -> bool:
     """Structural equality; values of different types are simply unequal.
 
-    Iterative, so values of any nesting compare without host recursion.
+    Iterative, so values of any nesting compare without host recursion, and
+    each pair of lists or pairs is visited once however often the values
+    share it (and not at all if both are the same object), so sharing
+    cannot make a comparison exponential.  With an
+    evaluation's ctx it adds its work to ctx.work, the tally its caller
+    started, and charges it as it goes.
     """
+    if ctx is None:
+        ctx = _Ctx()
+        ctx.left = math.inf
+        ctx.work = 0
     pending = [(a, b)]
+    seen = set()
     while pending:
         a, b = pending.pop()
         kind = type(a)
         if kind is not type(b):
             return False
-        if kind is list:
+        if a is b:  # no value can differ from itself
+            continue
+        if kind is list or kind is tuple:
             if len(a) != len(b):
                 return False
+            ctx.work += len(a) * _ITEM_WORK
+            if ctx.work >= _STEP_WORK:
+                _charge_tally(ctx)
             for x, y in zip(a, b):
                 item = type(x)
                 if item is not type(y):
                     return False
-                if item is list or item is tuple:
-                    pending.append((x, y))
+                if item is str:
+                    if len(x) >= _ITEM_WORK and len(x) == len(y):
+                        ctx.work += len(x)  # shorter ones cost less than their item
+                        if ctx.work >= _STEP_WORK:
+                            _charge_tally(ctx)
+                    if x != y:
+                        return False
+                elif item is list or item is tuple:
+                    if x is not y and (id(x), id(y)) not in seen:
+                        seen.add((id(x), id(y)))
+                        pending.append((x, y))
                 elif x != y:
                     return False
-        elif kind is tuple:
-            pending.extend(zip(a, b))
         elif a != b:
             return False
     return True
@@ -185,7 +208,30 @@ class _Ctx:
     """The mutable state of one evaluation."""
 
     __slots__ = ("left", "limit", "calls_left", "depth_limit", "list_cap", "rng", "env",
-                 "ret_span")
+                 "ret_span", "work")
+
+
+#: Size-dependent work (docs/slang.md): operations whose host cost grows with
+#: their values charge one step per _STEP_WORK units on top of their own
+#: step, rounded down, where a character is one unit and a list or pair item
+#: _ITEM_WORK units: a step per 4,096 characters or 64 items.  Smaller
+#: values cost nothing extra.
+_STEP_WORK = 4096
+_ITEM_WORK = 64
+_STEP_ITEMS = _STEP_WORK // _ITEM_WORK
+
+
+def _charge(ctx: _Ctx, work: int) -> None:
+    ctx.left -= work // _STEP_WORK
+    if ctx.left < 0:
+        raise _OutOfSteps
+
+
+def _charge_tally(ctx: _Ctx) -> None:
+    """Charge the whole steps of ctx.work, the running tally of an operation
+    that works in parts (a comparison, a count), and keep the rest."""
+    _charge(ctx, ctx.work)
+    ctx.work %= _STEP_WORK
 
 
 def _fault(ctx: _Ctx, kind: FaultKind, span: Span, detail: str):
@@ -643,13 +689,18 @@ def _plus(left, right, span: Span):
                     _int_cap_fault(ctx, span)
                 return value
             if kind is str:
-                if len(a) + len(b) > MAX_STRING_LENGTH:
+                size = len(a) + len(b)
+                if size > MAX_STRING_LENGTH:
                     _type_fault(ctx, span, f"string length cap {MAX_STRING_LENGTH} exceeded")
+                if size >= _STEP_WORK:
+                    _charge(ctx, size)
                 return a + b
             if kind is list:
                 value = a + b
                 if len(value) > ctx.list_cap:
                     _list_cap_fault(ctx, span)
+                if len(value) >= _STEP_ITEMS:
+                    _charge(ctx, len(value) * _ITEM_WORK)
                 return value
         _type_fault(ctx, span, f"'+' cannot combine {type_name(a)} and {type_name(b)}")
 
@@ -701,8 +752,12 @@ def _equality(negate: bool, left, right):
         kind = type(a)
         if kind is not type(b):
             return negate
-        if kind is list or kind is tuple:
-            return slang_eq(a, b) is not negate
+        if kind is str:
+            if len(a) >= _STEP_WORK and len(a) == len(b):
+                _charge(ctx, len(a))
+        elif kind is list or kind is tuple:
+            ctx.work = 0
+            return slang_eq(a, b, ctx) is not negate
         return (a == b) is not negate
 
     return equality
@@ -768,20 +823,42 @@ def _last(ctx, span, args):
     xs, k = args
     _need(ctx, type(xs) is list, span, "last needs a list")
     _need(ctx, type(k) is int and k >= 0, span, "last needs a non-negative count")
+    if k >= _STEP_ITEMS and len(xs) >= _STEP_ITEMS:
+        _charge(ctx, min(k, len(xs)) * _ITEM_WORK)
     return xs[-k:] if k > 0 else []
 
 
 def _count(ctx, span, args):
     xs, v = args
     _need(ctx, type(xs) is list, span, "count needs a list")
-    if type(v) is str:  # only an equal string equals a string
+    kind = type(v)
+    if kind is str:  # only an equal string equals a string
+        if len(xs) >= _STEP_ITEMS or len(v) >= _ITEM_WORK:  # else under a step
+            work = len(xs) * _ITEM_WORK
+            if len(v) >= _ITEM_WORK:  # items of v's length compare in full
+                work += len(v) * sum(1 for x in xs if type(x) is str and len(x) == len(v))
+            _charge(ctx, work)
         return xs.count(v)
-    return sum(1 for item in xs if slang_eq(item, v))
+    ctx.work = len(xs) * _ITEM_WORK
+    if ctx.work >= _STEP_WORK:
+        _charge_tally(ctx)
+    if kind is list or kind is tuple:  # each distinct item is compared once
+        equal: dict[int, bool] = {}
+        hits = 0
+        for item in xs:
+            if type(item) is kind:
+                if id(item) not in equal:
+                    equal[id(item)] = slang_eq(item, v, ctx)
+                hits += equal[id(item)]
+        return hits
+    return sum(1 for item in xs if type(item) is kind and item == v)
 
 
 def _contains(ctx, span, args):
     s, sub = args
     _need(ctx, type(s) is str and type(sub) is str, span, "contains needs two strings")
+    if len(s) + len(sub) >= _STEP_WORK:
+        _charge(ctx, len(s) + len(sub))
     return sub in s
 
 
@@ -847,38 +924,63 @@ def _is_position(v) -> bool:
     return type(v) is tuple and type(v[0]) is int and type(v[1]) is int
 
 
-class _Text(str):
-    """Literal text on _show's work stack, told apart from string values."""
+#: Longest value text a fault detail quotes; a longer one is cut there and
+#: ends in "…".
+SHOW_LIMIT = 1000
 
 
 def _show(value) -> str:
-    """A value as fault details print it: a host repr, except at the top.
+    """A value as fault details print it: a host repr, except at the top,
+    cut after SHOW_LIMIT characters.
 
-    Iterative, so values of any nesting print without host recursion.
+    Iterative, and it stops at the cut, so values of any nesting or size
+    print without host recursion in bounded time.
     """
     if value is UNIT:
         return "unit"
     if type(value) is bool:
         return "true" if value else "false"
     parts = []
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        kind = type(item)
-        if kind is _Text:
-            parts.append(item)
-        elif (kind is not list and kind is not tuple) or not any(
-            type(x) is list or type(x) is tuple for x in item
-        ):
-            parts.append(repr(item))
-        else:  # a list or pair holding lists or pairs: show it piece by piece
-            parts.append("[" if kind is list else "(")
-            pending.append(_Text("]" if kind is list else ")"))
-            for i in range(len(item) - 1, -1, -1):
-                pending.append(item[i])
-                if i:
-                    pending.append(_Text(", "))
+    size = 0
+    for piece in _pieces(value):
+        parts.append(piece)
+        size += len(piece)
+        if size > SHOW_LIMIT:
+            return "".join(parts)[:SHOW_LIMIT] + "…"
     return "".join(parts)
+
+
+def _pieces(value):
+    """The text of a value, piece by piece: a list or pair as its brackets,
+    separators and items, anything else as its host repr."""
+    stack = [iter((value,))]
+    while stack:
+        for item in stack[-1]:
+            kind = type(item)
+            if kind is _Text:
+                yield item
+            elif kind is list or kind is tuple:
+                yield "[" if kind is list else "("
+                stack.append(_items(item, _Text("]" if kind is list else ")")))
+                break
+            elif kind is str and len(item) > SHOW_LIMIT:
+                yield repr(item[: SHOW_LIMIT + 1])
+            else:
+                yield repr(item)
+        else:
+            stack.pop()
+
+
+class _Text(str):
+    """Literal text among a value's items, told apart from string values."""
+
+
+def _items(items, close: _Text):
+    for i, item in enumerate(items):
+        if i:
+            yield _Text(", ")
+        yield item
+    yield close
 
 
 # --------------------------------------------------------------------------

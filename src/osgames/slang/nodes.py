@@ -7,7 +7,9 @@ original even though every offset moved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import dataclasses
+import operator
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .tokens import Span
@@ -189,45 +191,62 @@ ENTRY_POINT = "strategy"
 
 
 # --------------------------------------------------------------------------
-# traversal helpers
+# the tree's shape
+
+#: Shapes of a sub-node field: one expression, a tuple of expressions, a
+#: Block (or None, for an absent else), and If's (condition, Block) arms.
+EXPR, EXPRS, BLOCK, ARMS = "expr", "exprs", "block", "arms"
+
+#: Each node class's sub-node fields in source order, expressions first and
+#: then blocks.  Every walk below reads the tree's structure from here.
+CHILD_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {
+    IntLit: (),
+    StrLit: (),
+    BoolLit: (),
+    Var: (),
+    Unary: (("operand", EXPR),),
+    Binary: (("left", EXPR), ("right", EXPR)),
+    Call: (("args", EXPRS),),
+    Index: (("base", EXPR), ("index", EXPR)),
+    ListLit: (("items", EXPRS),),
+    PairLit: (("first", EXPR), ("second", EXPR)),
+    Let: (("value", EXPR),),
+    Assign: (("value", EXPR),),
+    If: (("arms", ARMS), ("orelse", BLOCK)),
+    While: (("cond", EXPR), ("body", BLOCK)),
+    For: (("iterable", EXPR), ("body", BLOCK)),
+    Return: (("value", EXPR),),
+    ExprStmt: (("value", EXPR),),
+    FuncDef: (("body", BLOCK),),
+}
+
+#: The field holding the identifier of each node class but FuncDef that has
+#: one (a FuncDef has its name and its params).
+NAME_FIELD = {Var: "name", Call: "name", Let: "name", Assign: "name", For: "var"}
 
 
 def child_exprs(node) -> Iterator[Expr]:
     """Direct sub-expressions of an expression or statement."""
-    if isinstance(node, (Unary,)):
-        yield node.operand
-    elif isinstance(node, Binary):
-        yield node.left
-        yield node.right
-    elif isinstance(node, Call):
-        yield from node.args
-    elif isinstance(node, Index):
-        yield node.base
-        yield node.index
-    elif isinstance(node, ListLit):
-        yield from node.items
-    elif isinstance(node, PairLit):
-        yield node.first
-        yield node.second
-    elif isinstance(node, (Let, Assign, Return, ExprStmt)):
-        yield node.value
-    elif isinstance(node, While):
-        yield node.cond
-    elif isinstance(node, For):
-        yield node.iterable
-    elif isinstance(node, If):
-        for cond, _ in node.arms:
-            yield cond
+    for name, shape in CHILD_FIELDS[type(node)]:
+        if shape is EXPR:
+            yield getattr(node, name)
+        elif shape is EXPRS:
+            yield from getattr(node, name)
+        elif shape is ARMS:
+            for cond, _ in getattr(node, name):
+                yield cond
 
 
-def child_blocks(stmt) -> Iterator[Block]:
-    if isinstance(stmt, If):
-        for _, body in stmt.arms:
-            yield body
-        if stmt.orelse is not None:
-            yield stmt.orelse
-    elif isinstance(stmt, (While, For)):
-        yield stmt.body
+def child_blocks(node) -> Iterator[Block]:
+    """Direct sub-blocks of a statement or function."""
+    for name, shape in CHILD_FIELDS[type(node)]:
+        if shape is BLOCK:
+            block = getattr(node, name)
+            if block is not None:
+                yield block
+        elif shape is ARMS:
+            for _, body in getattr(node, name):
+                yield body
 
 
 def walk_exprs(root: Expr) -> Iterator[Expr]:
@@ -249,18 +268,40 @@ def walk_stmts(block: Block) -> Iterator[Stmt]:
             stack.extend(reversed(sub))
 
 
-def walk_program_exprs(program: Program) -> Iterator[Expr]:
-    for d in program.defs:
-        for stmt in walk_stmts(d.body):
-            for top in child_exprs(stmt):
-                yield from walk_exprs(top)
+def map_tree(node, fn):
+    """Rebuild a function, statement or expression bottom-up.
+
+    Each node's sub-nodes are mapped first; `fn` then gets the node, rebuilt
+    with its new sub-nodes (spans kept) if any changed, and returns what
+    takes its place.  Recursive: the parser's depth cap bounds it.
+    """
+    changes = {}
+    for name, shape in CHILD_FIELDS[type(node)]:
+        old = getattr(node, name)
+        if shape is EXPR:
+            new = map_tree(old, fn)
+        elif shape is ARMS:
+            new = _kept(old, tuple(
+                _kept(arm, (map_tree(arm[0], fn), _map_all(arm[1], fn))) for arm in old
+            ))
+        elif old is None:
+            continue
+        else:
+            new = _map_all(old, fn)
+        if new is not old:
+            changes[name] = new
+    if changes:
+        node = dataclasses.replace(node, **changes)
+    return fn(node)
 
 
-def replace(node, **changes):
-    """dataclasses.replace that tolerates our field(compare=False) spans."""
-    kwargs = {f.name: getattr(node, f.name) for f in fields(node)}
-    kwargs.update(changes)
-    return type(node)(**kwargs)
+def _map_all(nodes: tuple, fn) -> tuple:
+    return _kept(nodes, tuple(map_tree(child, fn) for child in nodes))
+
+
+def _kept(old: tuple, new: tuple) -> tuple:
+    """`old` itself if `new` holds the very same items, else `new`."""
+    return old if all(map(operator.is_, old, new)) else new
 
 
 def tree_depth(program: Program) -> int:
@@ -275,12 +316,8 @@ def tree_depth(program: Program) -> int:
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        if isinstance(node, FuncDef):
-            stack.extend((s, depth + 1) for s in node.body)
-            continue
-        for child in child_exprs(node):
-            stack.append((child, depth + 1))
-        if isinstance(node, (If, While, For)):
-            for block in child_blocks(node):
-                stack.extend((s, depth + 1) for s in block)
+        depth += 1
+        stack.extend((child, depth) for child in child_exprs(node))
+        for block in child_blocks(node):
+            stack.extend((s, depth) for s in block)
     return deepest

@@ -10,8 +10,9 @@ validates and behaves exactly like the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ._stack import stack_headroom
 from .rng import SplitMix64
 from .slang import nodes as n
 from .slang.tokens import SourceText, Token, TokenKind, tokenize
@@ -65,101 +66,34 @@ def _fresh_obfuscated(rng: SplitMix64, used: set[str]) -> str:
             return name
 
 
+def _renamer(func_map: dict[str, str], locals_map: dict[str, str]):
+    """The map_tree function that renames the names of one function."""
+
+    def rename(node):
+        kind = type(node)
+        if kind is n.FuncDef:
+            return replace(
+                node,
+                name=func_map.get(node.name, node.name),
+                params=tuple(locals_map.get(p, p) for p in node.params),
+            )
+        field = n.NAME_FIELD.get(kind)
+        if field is None:
+            return node
+        new = (func_map if kind is n.Call else locals_map).get(getattr(node, field))
+        return node if new is None else replace(node, **{field: new})
+
+    return rename
+
+
 def _apply_renames(
     tree: n.Program, func_map: dict[str, str], local_maps: dict[str, dict[str, str]]
 ) -> n.Program:
-    def rename_expr(expr: n.Expr, locals_map: dict[str, str]) -> n.Expr:
-        if isinstance(expr, n.Var):
-            return n.replace(expr, name=locals_map.get(expr.name, expr.name))
-        if isinstance(expr, n.Unary):
-            return n.replace(expr, operand=rename_expr(expr.operand, locals_map))
-        if isinstance(expr, n.Binary):
-            return n.replace(
-                expr,
-                left=rename_expr(expr.left, locals_map),
-                right=rename_expr(expr.right, locals_map),
-            )
-        if isinstance(expr, n.Call):
-            return n.replace(
-                expr,
-                name=func_map.get(expr.name, expr.name),
-                args=tuple(rename_expr(a, locals_map) for a in expr.args),
-            )
-        if isinstance(expr, n.Index):
-            return n.replace(
-                expr,
-                base=rename_expr(expr.base, locals_map),
-                index=rename_expr(expr.index, locals_map),
-            )
-        if isinstance(expr, n.ListLit):
-            return n.replace(
-                expr, items=tuple(rename_expr(i, locals_map) for i in expr.items)
-            )
-        if isinstance(expr, n.PairLit):
-            return n.replace(
-                expr,
-                first=rename_expr(expr.first, locals_map),
-                second=rename_expr(expr.second, locals_map),
-            )
-        return expr
-
-    def rename_block(block: n.Block, locals_map: dict[str, str]) -> n.Block:
-        out = []
-        for stmt in block:
-            if isinstance(stmt, (n.Let, n.Assign)):
-                out.append(
-                    n.replace(
-                        stmt,
-                        name=locals_map.get(stmt.name, stmt.name),
-                        value=rename_expr(stmt.value, locals_map),
-                    )
-                )
-            elif isinstance(stmt, n.If):
-                arms = tuple(
-                    (rename_expr(c, locals_map), rename_block(b, locals_map))
-                    for c, b in stmt.arms
-                )
-                orelse = (
-                    rename_block(stmt.orelse, locals_map)
-                    if stmt.orelse is not None
-                    else None
-                )
-                out.append(n.replace(stmt, arms=arms, orelse=orelse))
-            elif isinstance(stmt, n.While):
-                out.append(
-                    n.replace(
-                        stmt,
-                        cond=rename_expr(stmt.cond, locals_map),
-                        body=rename_block(stmt.body, locals_map),
-                    )
-                )
-            elif isinstance(stmt, n.For):
-                out.append(
-                    n.replace(
-                        stmt,
-                        var=locals_map.get(stmt.var, stmt.var),
-                        iterable=rename_expr(stmt.iterable, locals_map),
-                        body=rename_block(stmt.body, locals_map),
-                    )
-                )
-            elif isinstance(stmt, (n.Return, n.ExprStmt)):
-                out.append(n.replace(stmt, value=rename_expr(stmt.value, locals_map)))
-            else:  # pragma: no cover
-                raise TypeError(f"unknown statement {stmt!r}")
-        return tuple(out)
-
-    defs = []
-    for d in tree.defs:
-        locals_map = local_maps.get(d.name, {})
-        defs.append(
-            n.replace(
-                d,
-                name=func_map.get(d.name, d.name),
-                params=tuple(locals_map.get(p, p) for p in d.params),
-                body=rename_block(d.body, locals_map),
-            )
+    with stack_headroom():
+        defs = tuple(
+            n.map_tree(d, _renamer(func_map, local_maps.get(d.name, {}))) for d in tree.defs
         )
-    return n.replace(tree, defs=tuple(defs))
+    return replace(tree, defs=defs)
 
 
 def mask(tree: n.Program) -> tuple[n.Program, RenameMap]:

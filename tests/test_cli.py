@@ -474,6 +474,50 @@ def test_meta_judge_sidecar(tmp_path, capsys):
     assert record["rounds"][0]["judge_labels"] == {"a": {"direct_imitation": True}}
 
 
+STATIC_TFT = {"kind": "static", "path": TFT}
+
+
+@pytest.mark.parametrize(
+    "providers, judge, named",
+    [
+        ({"a": "x", "b": STATIC_TFT}, None, "provider 'a' must be an object"),
+        (
+            {"a": STATIC_TFT, "b": {"kind": "scripted", "schedule": [{"path": ALLC}]}},
+            None,
+            "provider 'b' schedule entry 0 needs an integer from_round",
+        ),
+        (
+            {"a": {"kind": "external", "command": ["agent"], "timeout": "soon"}, "b": STATIC_TFT},
+            None,
+            "provider 'a' timeout must be a positive number, got 'soon'",
+        ),
+        (
+            {"a": STATIC_TFT, "b": STATIC_TFT},
+            [{"meta_round": 1, "labels": {"direct_imitation": True}}],
+            "judge entry 0 has bad judge player None",
+        ),
+        (
+            {"a": STATIC_TFT, "b": STATIC_TFT},
+            [{"meta_round": 1, "player": "a", "labels": ["direct_imitation"]}],
+            "judge entry 0 labels must be an object",
+        ),
+    ],
+    ids=["spec-not-object", "no-from-round", "bad-timeout", "judge-no-player",
+         "judge-labels-list"],
+)
+def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
+    config = tmp_path / "providers.json"
+    config.write_text(json.dumps(providers))
+    args = ["meta", str(config), "--meta-rounds", "2", "--out", str(tmp_path / "m")]
+    if judge is not None:
+        sidecar = tmp_path / "judge.json"
+        sidecar.write_text(json.dumps(judge))
+        args += ["--judge-labels", str(sidecar)]
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and named in err
+
+
 def test_config_file_defaults(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"rounds": 10, "seed": 7}))

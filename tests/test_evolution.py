@@ -124,18 +124,11 @@ def test_uniform_start_converges_to_mixed_edge_state(uniform_start_tft_limit):
     assert abs(final[2] - uniform_start_tft_limit) <= 1e-7
 
 
-def test_euler_method_available():
-    traj = integrate(CLASSIC, np.full(3, 1 / 3), dt=0.001, steps=1000, method="euler")
-    assert np.all(np.abs(traj.states.sum(axis=1) - 1.0) <= 1e-9)
-
-
 def test_integrate_input_validation():
     with pytest.raises(ValueError):
         integrate(CLASSIC, [0.5, 0.5, 0.5])  # not on the simplex
     with pytest.raises(ValueError):
         integrate(CLASSIC, np.full(3, 1 / 3), dt=-0.1)
-    with pytest.raises(ValueError):
-        integrate(CLASSIC, np.full(3, 1 / 3), method="leapfrog")
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from osgames.fixtures import load_corpus_programs
 from osgames.metrics import collect, cyclomatic, halstead, osas
@@ -101,10 +102,10 @@ def test_effort_monotone_over_corpus_duplication():
         stmt = entry.body[0]
         if isinstance(stmt, (n.Return,)):
             continue  # duplicating a leading return changes nothing after it
-        bigger = n.replace(
+        bigger = replace(
             tree,
             defs=tuple(
-                n.replace(d, body=(stmt,) + d.body) if d.name == "strategy" else d
+                replace(d, body=(stmt,) + d.body) if d.name == "strategy" else d
                 for d in tree.defs
             ),
         )

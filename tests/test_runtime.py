@@ -7,6 +7,7 @@ import pytest
 
 from osgames.rng import SplitMix64
 from osgames.runtime import (
+    SHOW_LIMIT,
     Bindings,
     Budget,
     CoinView,
@@ -412,7 +413,7 @@ def test_deep_values_end_in_a_value_or_a_located_fault(tail):
         assert [f.kind for f in record.faults] == ["invalid-return"] * 2
         start, end = record.faults[0].span
         assert src[start:end] == "return xs"
-        shown = "[" * 3001 + "]" * 3001
+        shown = ("[" * 3001 + "]" * 3001)[:SHOW_LIMIT] + "…"  # details are cut
         assert record.faults[0].detail == f"strategy returned {shown}, expected one of ['C', 'D']"
     else:
         assert record.faults == ()
@@ -468,3 +469,137 @@ def test_iterative_equality_and_details_match_recursive_references():
         assert slang_eq(a, b) is eq(a, b), (a, b)
     for v in values:
         assert _show(v) == show(v), v
+
+
+SIZED_VALUES = """fn strategy() {
+    let xs = ["C"]
+    let ys = ["C"]
+    while len(xs) < 4096 {
+        xs = xs + xs
+        ys = ys + ys
+    }
+    let s = "x"
+    let t = "x"
+    while len(s) < 1048576 {
+        s = s + s
+        t = t + t
+    }
+    let probe = EXPR
+    return "C"
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "expr, baseline, extra",
+    [
+        ("xs == ys", "xs == 0", 64),  # 4,096 items; strings under 64 cost nothing
+        ("[xs, xs] == [ys, ys]", "[xs, xs] == [0, 0]", 64),  # xs, ys visited once
+        ("[s] == [t]", "[s] == [0]", 256),
+        ("last(xs, 63) == last(ys, 63)", "last(xs, 63) == last(ys, 0)", 0),  # 4,095 units
+        ("last(xs, 64) == last(ys, 64)", "last(xs, 64) == last(ys, 0)", 1 + 1),
+        ("s == t", "s == 0", 256),
+        ("s != t + \"\"", "s != 0 + 0", 256 + 256),
+        ("xs + []", "xs == 0", 64),
+        ("count(xs, \"C\")", "last(xs, 0)", 64),
+        ("count(xs, 0)", "last(xs, 0)", 64),
+        ("count([s, t, \"x\"], s)", "last([s, t, \"x\"], 0)", 2 * 256),
+        ("contains(s, \"abc\")", "contains(\"\", \"abc\")", 256),
+        ("last(xs, 5000)", "last(xs, 0)", 64),
+    ],
+)
+def test_size_dependent_work_costs_a_step_per_64_items_or_4096_characters(
+    expr, baseline, extra
+):
+    # The baseline has the same nodes, so it costs the same steps apart from
+    # the size-dependent work.
+    steps = [run(SIZED_VALUES.replace("EXPR", probe))[1] for probe in (expr, baseline)]
+    assert steps[0] - steps[1] == extra
+
+
+DOUBLING = """fn strategy() {
+    let xs = ["C"]
+    let s = "x"
+    while len(xs) < 4096 {
+        xs = xs + xs
+    }
+    while len(s) < 1048576 {
+        s = s + s
+    }
+    while true {
+        if xs == xs and contains(s, "abc") {
+            return "D"
+        }
+    }
+    return "C"
+}
+"""
+
+
+def test_step_budget_bounds_wall_time_on_large_values():
+    import time
+
+    start = time.perf_counter()
+    fault = fault_of(DOUBLING)
+    assert fault.kind is FaultKind.STEP_BUDGET
+    assert time.perf_counter() - start < 5.0  # one step per op took 10-30 s
+
+
+SHARED_VALUES = """fn strategy() {
+    let ys = ["C"]
+    let zs = ["C"]
+    let i = 0
+    while i < 30 {
+        ys = [ys, ys]
+        zs = [zs, zs]
+        i = i + 1
+    }
+    TAIL
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "tail, expected",
+    [
+        ('if ys == zs and ys == ys and not (ys != zs) {\n        return "C"\n    }\n'
+         '    return "D"', "C"),
+        ('if count([ys, zs, ["C"]], zs) == 2 {\n        return "C"\n    }\n    return "D"',
+         "C"),
+        ("return ys", None),
+    ],
+    ids=["equality", "count", "return"],
+)
+def test_values_sharing_sublists_compare_and_print_in_bounded_time(tail, expected):
+    # 2^30 leaves, 31 distinct lists: a walk that follows every reference
+    # would never finish.
+    import time
+
+    src = SHARED_VALUES.replace("TAIL", tail)
+    start = time.perf_counter()
+    if expected is None:
+        fault = fault_of(src)
+        assert fault.kind is FaultKind.INVALID_RETURN
+        shown = "[" * 31 + "'C'"
+        assert fault.detail.startswith(f"strategy returned {shown}")
+        assert fault.detail.endswith("…, expected one of ['C', 'D']")
+        frame = "strategy returned , expected one of ['C', 'D']"
+        assert len(fault.detail) == len(frame) + SHOW_LIMIT + 1
+    else:
+        assert run(src)[0] == expected
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fault_details_are_bounded_in_match_records():
+    from osgames.arena import MatchConfig, play_match
+    from osgames.program import load_program
+    from osgames.runio import canonical_json_bytes
+
+    program = load_program(
+        'fn strategy() {\n    let s = "x"\n    while len(s) < 1048576 {\n'
+        '        s = s + s\n    }\n    return s\n}\n'
+    )
+    record = play_match(program, program, MatchConfig(rounds=20))
+    assert [f.kind for f in record.faults] == ["invalid-return"] * 40
+    assert record.faults[0].detail.startswith("strategy returned 'xxx")
+    assert len(canonical_json_bytes(record.to_json_dict())) < 100_000

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 
-from osgames.fixtures import load_corpus_sources
+from osgames.fixtures import load_corpus_programs, load_corpus_sources
+from osgames.metrics import collect
 from osgames.program import load_program
-from osgames.rng import SplitMix64
+from osgames.rng import SplitMix64, derive_seed
 from osgames.slang import TokenKind, parse_source, render, tokenize, validate
 from osgames.transforms import GLOBAL_SCOPE, mask, obfuscate, strip_comments
 
@@ -175,3 +178,28 @@ def test_rename_map_injectivity_detector():
     assert RenameMap((("s", "a", "x"), ("s", "b", "y"))).is_injective()
     assert not RenameMap((("s", "a", "x"), ("s", "b", "x"))).is_injective()
     assert RenameMap((("s1", "a", "x"), ("s2", "b", "x"))).is_injective()
+
+
+def _pinned_digests(subdir):
+    """sha256 of the masked and obfuscated renders with their RenameMaps, and
+    of the metrics, over one corpus directory (obfuscation seeded per program)."""
+    variants, metrics = hashlib.sha256(), hashlib.sha256()
+    for name, program in load_corpus_programs(subdir):
+        masked, mask_map = mask(program.tree)
+        obfuscated, obf_map = obfuscate(program.tree, SplitMix64(derive_seed("pin", subdir, name)))
+        for tree, renames in ((masked, mask_map), (obfuscated, obf_map)):
+            variants.update(render(tree).text.encode())
+            variants.update(json.dumps(renames.entries).encode())
+        flat = collect(program.tree).to_flat_dict()
+        metrics.update(json.dumps([name, flat], sort_keys=True).encode())
+    return variants.hexdigest()[:16], metrics.hexdigest()[:16]
+
+
+def test_transform_and_metric_outputs_pinned():
+    # Exact bytes, not just properties: any change to the renamer, the
+    # renderer or a metric walk moves one of these digests.
+    assert {subdir: _pinned_digests(subdir) for subdir in ("ipd", "coin", "equilibrium")} == {
+        "ipd": ("ec3f0a30672e6a56", "9e7051d1d5f2646e"),
+        "coin": ("5b0c7455023dfa65", "e632e714360cc2d4"),
+        "equilibrium": ("a131c63368d8839b", "d446f75760a2c5c0"),
+    }
