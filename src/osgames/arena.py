@@ -43,6 +43,8 @@ class MatchConfig:
             raise ValueError(f"unknown game kind {self.game!r}")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
+        if self.game == GAME_COIN and self.board_size < 2:
+            raise ValueError("board size must be at least 2")
         if self.fallback is not None and self.fallback not in legal_actions(self.game):
             raise ValueError(f"fallback {self.fallback!r} is not legal for {self.game}")
 
@@ -326,8 +328,8 @@ class RoundRobinTable:
         }
 
 
-#: Nodes the history tries of one round robin may hold.  Past it they are
-#: only read: a history with no node yet is evaluated as in play_match.
+#: Nodes the history tries of one round-robin share may hold.  Past it they
+#: are only read: a history with no node yet is evaluated as in play_match.
 TRIE_NODE_CAP = 1 << 17
 
 #: A trie node's child slot for the joint actions of a round, (mine, theirs).
@@ -340,7 +342,8 @@ def _seed_free(program: StrategyProgram, game: str) -> bool:
 
 
 class _HistoryTries:
-    """What the seed-free programs of one round robin did on each history.
+    """What the seed-free programs of one round-robin share did on each
+    history.
 
     Such a program's result in a round depends only on the joint history so
     far, its own source, the opponent's source if it reads opp_source, and
@@ -383,22 +386,28 @@ class _HistoryTries:
         return child
 
 
-def _pair_job(args) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """One pairing's match totals, a pair per seed (top level so worker pools
-    can run it).
+def _play_share(
+    texts: list[str], cfg: MatchConfig, pairings: list[tuple[int, int, list[int]]]
+) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """One worker's share of a round robin: each pairing (i, j, seeds) with
+    its match totals, a pair per seed (top level so worker pools can run it).
 
-    Both programs are parsed from their text.  A seed-free player reads and
-    extends the tries the task carries: all tasks of an in-process round
-    robin share one, while a pickled task brings its own, empty copy.
+    The programs are parsed from their texts once, and one set of history
+    tries serves every pairing of the share.
     """
-    i, j, source_i, source_j, cfg, seeds, tries = args
-    pi = load_program(source_i, game=cfg.game)
-    pj = load_program(source_j, game=cfg.game)
-    node_i = tries.root(i, pi, pj, cfg.game)
-    node_j = tries.root(j, pj, pi, cfg.game)
-    return i, j, tuple(
-        _play(pi, pj, replace(cfg, seed=seed), tries, node_i, node_j).totals for seed in seeds
-    )
+    programs = [load_program(text, game=cfg.game) for text in texts]
+    tries = _HistoryTries()
+    results = []
+    for i, j, seeds in pairings:
+        pi, pj = programs[i], programs[j]
+        node_i = tries.root(i, pi, pj, cfg.game)
+        node_j = tries.root(j, pj, pi, cfg.game)
+        totals = tuple(
+            _play(pi, pj, replace(cfg, seed=seed), tries, node_i, node_j).totals
+            for seed in seeds
+        )
+        results.append((i, j, totals))
+    return results
 
 
 def round_robin(
@@ -410,8 +419,10 @@ def round_robin(
     """Sample every ordered pair (self-play included) `repetitions` times.
 
     Each cell and repetition gets its own seed derived from cfg.seed, so the
-    table is identical however the pairings are scheduled; jobs > 1 spreads
-    the independent pairings over a process pool.
+    table is identical however the pairings are scheduled.  The pairings
+    are dealt round-robin into one share per worker, min(jobs, pairings,
+    CPUs) of them (_pool.workers); one share plays in-process, more play on
+    a process pool, and every share runs the same _play_share.
 
     An IPD pairing of two programs that cannot draw is seed-free: its match
     depends on neither the seed nor the seat.  It is played once, for i <= j
@@ -424,11 +435,15 @@ def round_robin(
     distinct history it meets, whoever the opponent: its results are kept
     in history tries (_HistoryTries), keyed by the program's index and, if
     it reads opp_source, the opponent's source.  Self-play shares one trie
-    between the seats.  The tries stop growing at TRIE_NODE_CAP nodes and
-    are dropped when the call returns, so no work carries from one call to
-    the next; with jobs > 1 each pairing's task brings its own.  The table
-    is the same as if every round were evaluated.
+    between the seats.  Each share keeps one set of tries for all of its
+    pairings; they stop growing at TRIE_NODE_CAP nodes per share and are
+    dropped when the share ends, so no work carries from one call to the
+    next.  The table is the same as if every round were evaluated, for any
+    jobs.  Raises ArenaError for fewer than two types, or for repetitions
+    or jobs below 1.
     """
+    from ._pool import pool_map, workers  # _pool imports this module
+
     if len(entries) < 2:
         raise ArenaError("round robin needs at least two types")
     if repetitions < 1:
@@ -444,27 +459,23 @@ def round_robin(
         for i in range(n)
         for j in range(n)
     }
-    tries = _HistoryTries()
-    tasks = []
+    pairings = []
     for (i, j), cell_seeds in seeds.items():
         if seed_free[i] and seed_free[j]:
             if i > j:
                 continue  # read from the mirrored (j, i) match
             cell_seeds = cell_seeds[:1]
-        tasks.append((i, j, programs[i].text, programs[j].text, cfg, cell_seeds, tries))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_pair_job, tasks))
-    else:
-        results = [_pair_job(t) for t in tasks]
+        pairings.append((i, j, cell_seeds))
+    texts = [program.text for program in programs]
+    count = workers(jobs, len(pairings))
+    shares = [(texts, cfg, pairings[k::count]) for k in range(count)]
     payoffs: dict[tuple[int, int], list[int]] = {}
-    for i, j, totals in results:
-        if seed_free[i] and seed_free[j]:
-            totals *= repetitions
-            payoffs[(j, i)] = [b for _, b in totals]
-        payoffs[(i, j)] = [a for a, _ in totals]
+    for share in pool_map(_play_share, shares, count):
+        for i, j, totals in share:
+            if seed_free[i] and seed_free[j]:
+                totals *= repetitions
+                payoffs[(j, i)] = [b for _, b in totals]
+            payoffs[(i, j)] = [a for a, _ in totals]
     samples = {cell: tuple(zip(seeds[cell], payoffs[cell])) for cell in seeds}
     means = tuple(
         tuple(sum(payoffs[(i, j)]) / repetitions for j in range(n)) for i in range(n)

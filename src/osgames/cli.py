@@ -20,12 +20,12 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, evolution, labeling, metrics as metrics_mod
+from ._pool import pool_map
 from .arena import ArenaError, MatchConfig, play_match, round_robin
 from .metagame import MetaGameError, merge_judge_labels, run_meta_game
 from .program import ProgramError, load_program, load_program_file
@@ -78,23 +78,30 @@ def _payoffs_from(arg: str | None):
         raise CliError(f"bad --payoffs {arg!r}: {exc}") from exc
 
 
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the ValueError of an out-of-range option
+    value as a CliError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _match_config(args) -> MatchConfig:
     rounds = args.rounds
     # Only match and meta have the coin alias; evolve's --steps is for RK4.
     if args.game == "coin" and getattr(args, "coin_steps", None) is not None:
         rounds = args.coin_steps
-    try:
-        return MatchConfig(
-            game=args.game,
-            rounds=rounds,
-            payoffs=_payoffs_from(args.payoffs),
-            budget=Budget(step_limit=args.step_limit),
-            fallback=getattr(args, "fallback", None),
-            seed=args.seed,
-            board_size=args.board_size,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return _checked(
+        MatchConfig,
+        game=args.game,
+        rounds=rounds,
+        payoffs=_payoffs_from(args.payoffs),
+        budget=Budget(step_limit=args.step_limit),
+        fallback=getattr(args, "fallback", None),
+        seed=args.seed,
+        board_size=args.board_size,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -198,15 +205,12 @@ def cmd_label(args) -> int:
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise CliError(f"corpus directory not found: {corpus_dir}")
+    _checked(MatchConfig, rounds=args.rounds)  # the rounds check of the labeling matches
     files = sorted(corpus_dir.glob("*.slang"))
     if args.variants:
         return _label_variants(args, corpus_dir, files)
-    jobs = [(str(p), args.rounds, args.seed, args.trials) for p in files]
-    if args.jobs > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_label_one, *zip(*jobs)))
-    else:
-        results = [_label_one(*job) for job in jobs]
+    tasks = [(str(p), args.rounds, args.seed, args.trials) for p in files]
+    results = pool_map(_label_one, tasks, args.jobs)
 
     rows, bad = [], []
     for name, payload, error in results:
@@ -308,10 +312,7 @@ def cmd_transform(args) -> int:
 def cmd_tournament(args) -> int:
     programs = _load_programs(args.programs, args.game)
     entries = [(Path(p).stem, prog) for p, prog in zip(args.programs, programs)]
-    try:
-        table = round_robin(entries, _match_config(args), args.reps, jobs=args.jobs)
-    except ArenaError as exc:
-        raise CliError(str(exc)) from exc
+    table = round_robin(entries, _match_config(args), args.reps, jobs=args.jobs)
     width = max(len(t) for t in table.tags) + 2
     header = " " * width + "".join(f"{t:>{width}}" for t in table.tags)
     print(header)
@@ -335,10 +336,7 @@ def _matrix_from_args(args) -> evolution.PayoffMatrix:
         raise CliError("give either --matrix FILE or program files")
     programs = _load_programs(args.programs, args.game)
     entries = [(Path(p).stem, prog) for p, prog in zip(args.programs, programs)]
-    try:
-        return evolution.estimate_payoff_matrix(entries, _match_config(args), args.reps)
-    except ArenaError as exc:
-        raise CliError(str(exc)) from exc
+    return evolution.estimate_payoff_matrix(entries, _match_config(args), args.reps)
 
 
 def _parse_x0(arg: str | None, size: int) -> np.ndarray:
@@ -364,7 +362,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> Path:
 def cmd_evolve(args) -> int:
     matrix = _matrix_from_args(args)
     x0 = _parse_x0(args.x0, matrix.size)
-    trajectory = evolution.integrate(matrix, x0, dt=args.dt, steps=args.steps)
+    trajectory = _checked(evolution.integrate, matrix, x0, dt=args.dt, steps=args.steps)
+    samples = None
+    if matrix.size == 3:
+        samples = _checked(evolution.flow_field, matrix, args.resolution)
     outdir = _out_path(args.out, "evolve_run")
     artifacts = [atomic_write_json(outdir / "payoff_matrix.json", matrix.to_json_dict())]
     artifacts.append(
@@ -379,8 +380,7 @@ def cmd_evolve(args) -> int:
         artifacts.append(
             atomic_write_json(outdir / "fixed_points.json", report.to_json_dict())
         )
-    if matrix.size == 3:
-        samples = evolution.flow_field(matrix, args.resolution)
+    if samples is not None:
         artifacts.append(
             _write_csv(
                 outdir / "flow.csv",
@@ -421,7 +421,7 @@ def cmd_flow(args) -> int:
     matrix = _matrix_from_args(args)
     if matrix.size != 3:
         raise CliError("flow fields are only defined for exactly 3 types")
-    samples = evolution.flow_field(matrix, args.resolution)
+    samples = _checked(evolution.flow_field, matrix, args.resolution)
     header = (
         [f"x_{t}" for t in matrix.tags]
         + [f"dx_{t}" for t in matrix.tags]
@@ -578,10 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ProgramError as exc:
+    except (CliError, ProgramError, ArenaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -118,6 +118,8 @@ def integrate(
     a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     x = _as_simplex(x0, a.shape[0])
     states = np.empty((steps + 1, a.shape[0]))
     states[0] = x

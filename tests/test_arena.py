@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 from dataclasses import replace
 
 import pytest
 
-from osgames import arena
+from osgames import _pool, arena, program
 from osgames.arena import (
     ArenaError,
     MatchConfig,
@@ -20,7 +21,7 @@ from osgames.games import PayoffParams
 from osgames.program import ProgramError, load_program
 from osgames.runio import canonical_json_bytes
 from osgames.rng import derive_seed
-from osgames.runtime import Budget, can_draw
+from osgames.runtime import Budget, can_draw, reads_opp_source
 from osgames.slang.validator import validate
 
 
@@ -236,17 +237,102 @@ def equilibrium_entries():
     return [("comparator", comparator), ("twin", twin)] + [(k, ipd[k]) for k in picked]
 
 
-@pytest.mark.parametrize("corpus", ["ipd", "equilibrium"])
+def corpus_entries(ipd_corpus, corpus):
+    if corpus == "ipd":
+        return ipd_corpus
+    return equilibrium_entries() if corpus == "equilibrium" else load_corpus_programs("coin")
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make the pool see `cpus` CPUs, so a test sizes it the same on any runner."""
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: cpus)
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and maps
+    in this process, so no test has to start that many processes."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def fake_pool(monkeypatch, cpus) -> list[int]:
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    return InProcessPool.sizes
+
+
+@pytest.mark.parametrize("corpus", ["ipd", "equilibrium", "coin"])
 @pytest.mark.parametrize("repetitions", [1, 2])
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_round_robin_reuse_matches_playing_every_cell(ipd_corpus, corpus, repetitions, jobs):
-    entries = ipd_corpus if corpus == "ipd" else equilibrium_entries()
-    cfg = MatchConfig(rounds=12, seed=31)
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_round_robin_reuse_matches_playing_every_cell(
+    monkeypatch, ipd_corpus, corpus, repetitions, jobs
+):
+    set_cpus(monkeypatch, 3)  # jobs processes, on any runner
+    entries = corpus_entries(ipd_corpus, corpus)
+    game = "coin" if corpus == "coin" else "ipd"
+    cfg = MatchConfig(game=game, rounds=12, seed=31)
     table = round_robin(entries, cfg, repetitions, jobs=jobs)
     expected = reference_round_robin(entries, cfg, repetitions)
     assert table.to_json_dict() == expected.to_json_dict()
     assert table == expected
     assert list(table.samples) == list(expected.samples)
+
+
+@pytest.mark.parametrize("corpus", ["ipd", "coin"])
+def test_round_robin_with_more_jobs_than_pairings_gives_each_its_own_share(
+    monkeypatch, ipd_corpus, corpus
+):
+    entries = corpus_entries(ipd_corpus, corpus)[:3]
+    game = "coin" if corpus == "coin" else "ipd"
+    cfg = MatchConfig(game=game, rounds=6, seed=8)
+    pairings = 6 if corpus == "ipd" else 9  # seed-free IPD cells play i <= j only
+    shares = []
+    real = arena._play_share
+    monkeypatch.setattr(
+        arena, "_play_share", lambda *share: shares.append(share[2]) or real(*share)
+    )
+    sizes = fake_pool(monkeypatch, cpus=64)
+    table = round_robin(entries, cfg, repetitions=2, jobs=1000)
+    assert sizes == [pairings]
+    assert [len(share) for share in shares] == [1] * pairings
+    expected = reference_round_robin(entries, cfg, repetitions=2)
+    assert canonical_json_bytes(table.to_json_dict()) == canonical_json_bytes(
+        expected.to_json_dict()
+    )
+
+
+@pytest.mark.parametrize(
+    "jobs, tasks, cpus, size",
+    [(1, 10, 8, 1), (4, 10, 8, 4), (4, 3, 8, 3), (16, 100, 2, 2), (3, 0, 8, 1), (5, 5, None, 1)],
+)
+def test_pool_size_is_bounded_by_jobs_tasks_and_cpus(monkeypatch, jobs, tasks, cpus, size):
+    sizes = fake_pool(monkeypatch, cpus)
+    assert _pool.workers(jobs, tasks) == size
+    assert _pool.pool_map(divmod, [(k, 3) for k in range(tasks)], jobs) == [
+        divmod(k, 3) for k in range(tasks)
+    ]
+    assert sizes == ([size] if size > 1 else [])  # one worker runs in-process
+
+
+def test_serial_round_robin_parses_each_program_once(monkeypatch, ipd_corpus):
+    parsed = []
+    real = program.parse_source
+    monkeypatch.setattr(program, "parse_source", lambda src: parsed.append(src.text) or real(src))
+    round_robin(ipd_corpus, MatchConfig(rounds=5, seed=3), repetitions=2)
+    assert sorted(parsed) == sorted(p.text for _, p in ipd_corpus)
 
 
 def count_matches(monkeypatch):
@@ -315,6 +401,43 @@ def test_round_robin_evaluates_each_seed_free_history_once(monkeypatch, ipd_corp
     # distinct history (and opponent source, for similarity_tester).
     assert len(drawing) == 3 * 20 * 2 * 5
     assert len(calls) == 1038  # 264 matches x 10 = 2640 with no reuse
+
+
+def distinct_histories(programs, pairings, cfg):
+    """The (program key, joint history) pairs the seed-free players of
+    these pairings meet, from plain play_match records."""
+    seen = set()
+    for i, j, seeds in pairings:
+        for seed in seeds:
+            record = play_match(programs[i], programs[j], replace(cfg, seed=seed))
+            for me, other, seat in ((i, j, 0), (j, i, 1)):
+                key = (me, programs[other].text) if reads_opp_source(programs[me].tree) else me
+                joint = tuple((turn[seat], turn[1 - seat]) for turn in record.actions)
+                seen.update((key, joint[:r]) for r in range(cfg.rounds))
+    return seen
+
+
+def test_each_share_evaluates_each_seed_free_history_once(monkeypatch, ipd_corpus):
+    programs = [p for _, p in ipd_corpus if not can_draw(p.tree)]
+    texts = [p.text for p in programs]
+    cfg = MatchConfig(rounds=5, seed=3)
+    pairings = [
+        (i, j, [derive_seed(cfg.seed, "pair", i, j, 0)])
+        for i in range(len(programs))
+        for j in range(i, len(programs))
+    ]
+    shares = pairings[0::2], pairings[1::2]
+    expected = [len(distinct_histories(programs, share, cfg)) for share in shares]
+    in_one_share = len(distinct_histories(programs, pairings, cfg))
+    calls = count_evaluations(monkeypatch)
+    counts = []
+    for share in shares:
+        del calls[:]
+        arena._play_share(texts, cfg, share)
+        counts.append(len(calls))
+    assert counts == expected
+    # each share keeps its own tries: together they evaluate more than one would
+    assert sum(counts) > in_one_share
 
 
 @pytest.mark.parametrize("cap", [0, 40])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from osgames import _pool
 from osgames.cli import _match_config, build_parser, main
 from osgames.fixtures import corpus_path, ipd_corpus_dir
 
@@ -13,6 +14,7 @@ TFT = str(corpus_path("ipd/tft.slang"))
 ALLC = str(corpus_path("ipd/allc.slang"))
 ALLD = str(corpus_path("ipd/alld.slang"))
 COMPARATOR = str(corpus_path("equilibrium/syntactic_comparator.slang"))
+COIN = [str(corpus_path(f"coin/{name}.slang")) for name in ("greedy_chaser", "random_walker")]
 
 
 @pytest.fixture(autouse=True)
@@ -193,7 +195,8 @@ def test_label_trials_reports_rate(tmp_path, capsys):
     assert 0.0 <= item["cooperation_rate"] <= 1.0
 
 
-def test_label_jobs_parallel_matches_serial(tmp_path, capsys):
+def test_label_jobs_parallel_matches_serial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 2)  # a real pool on any runner
     out1, out2 = tmp_path / "serial.json", tmp_path / "par.json"
     code1, _, _ = run(["label", str(ipd_corpus_dir()), "--out", str(out1)], capsys)
     code2, _, _ = run(
@@ -266,20 +269,20 @@ def test_tournament_table(tmp_path, capsys):
     assert "alld" in stdout
 
 
-def test_tournament_jobs_matches_serial(tmp_path, capsys):
-    serial, parallel = tmp_path / "serial.json", tmp_path / "par.json"
-    code1, _, _ = run(
-        ["tournament", ALLC, ALLD, TFT, "--rounds", "10", "--reps", "2",
-         "--out", str(serial)],
-        capsys,
-    )
-    code2, _, _ = run(
-        ["tournament", ALLC, ALLD, TFT, "--rounds", "10", "--reps", "2",
-         "--jobs", "3", "--out", str(parallel)],
-        capsys,
-    )
-    assert code1 == code2 == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_tournament_jobs_matches_serial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 2)  # a real pool on any runner
+    for game, programs in (("ipd", [ALLC, ALLD, TFT]), ("coin", COIN)):
+        outputs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"{game}-{jobs}.json"
+            code, _, _ = run(
+                ["tournament", *programs, "--game", game, "--rounds", "10", "--reps", "2",
+                 "--jobs", jobs, "--out", str(out)],
+                capsys,
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_evolve_from_programs(tmp_path, capsys):
@@ -516,6 +519,39 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
     code, _, err = run(args, capsys)
     assert code == 2
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["label", str(ipd_corpus_dir()), "--rounds", "0"], "rounds must be positive"),
+        (["label", str(ipd_corpus_dir()), "--rounds", "0", "--variants"],
+         "rounds must be positive"),
+        (["label", str(ipd_corpus_dir()), "--config", "{rounds0}"], "rounds must be positive"),
+        (["label", str(ipd_corpus_dir()), "--jobs", "0"], "jobs must be at least 1"),
+        (["tournament", ALLC, ALLD, "--jobs", "-5"], "jobs must be at least 1"),
+        (["evolve", ALLC, ALLD, TFT, "--steps", "-1"], "steps must be non-negative"),
+        (["evolve", ALLC, ALLD, TFT, "--dt", "0"], "dt must be positive"),
+        (["evolve", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
+        (["flow", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
+        (["match", "--game", "coin", "--board-size", "1", *COIN],
+         "board size must be at least 2"),
+    ],
+    ids=[
+        "label-rounds", "label-variants-rounds", "label-config-rounds", "label-jobs",
+        "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-resolution",
+        "flow-resolution", "match-board-size",
+    ],
+)
+def test_out_of_range_option_exit_2(tmp_path, capsys, argv, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rounds": 0}))
+    argv = [str(config) if arg == "{rounds0}" else arg for arg in argv]
+    out = tmp_path / "out"
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not out.exists()  # nothing written before the error
 
 
 def test_config_file_defaults(tmp_path, capsys):
