@@ -97,7 +97,7 @@ def _match_config(args) -> MatchConfig:
         game=args.game,
         rounds=rounds,
         payoffs=_payoffs_from(args.payoffs),
-        budget=Budget(step_limit=args.step_limit),
+        budget=_checked(Budget, step_limit=args.step_limit),
         fallback=getattr(args, "fallback", None),
         seed=args.seed,
         board_size=args.board_size,
@@ -122,6 +122,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_meta(args) -> int:
+    if args.seeds < 1:
+        raise CliError("seeds must be at least 1")
     try:
         spec = json.loads(Path(args.providers).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -209,6 +211,8 @@ def cmd_label(args) -> int:
     files = sorted(corpus_dir.glob("*.slang"))
     if args.variants:
         return _label_variants(args, corpus_dir, files)
+    if args.trials is not None:
+        _checked(labeling.check_trials, args.trials)
     tasks = [(str(p), args.rounds, args.seed, args.trials) for p in files]
     results = pool_map(_label_one, tasks, args.jobs)
 
@@ -360,6 +364,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> Path:
 
 
 def cmd_evolve(args) -> int:
+    # Checked before _matrix_from_args plays the round robin.
+    _checked(evolution.check_steps, args.dt, args.steps)
+    if args.matrix is None and len(args.programs) == 3:  # a flow field follows
+        _checked(evolution.check_resolution, args.resolution)
     matrix = _matrix_from_args(args)
     x0 = _parse_x0(args.x0, matrix.size)
     trajectory = _checked(evolution.integrate, matrix, x0, dt=args.dt, steps=args.steps)
@@ -418,6 +426,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    _checked(evolution.check_resolution, args.resolution)  # before the round robin
     matrix = _matrix_from_args(args)
     if matrix.size != 3:
         raise CliError("flow fields are only defined for exactly 3 types")

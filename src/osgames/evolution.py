@@ -104,6 +104,14 @@ class Trajectory:
         return self.states[-1]
 
 
+def check_steps(dt: float, steps: int) -> None:
+    """Raise the ValueError integrate gives for this step size and count."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+
+
 def integrate(
     matrix: PayoffMatrix | np.ndarray,
     x0,
@@ -116,10 +124,7 @@ def integrate(
     so the simplex invariants hold along the whole trajectory.
     """
     a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    check_steps(dt, steps)
     x = _as_simplex(x0, a.shape[0])
     states = np.empty((steps + 1, a.shape[0]))
     states[0] = x
@@ -148,6 +153,12 @@ class FlowSample:
     strength: float
 
 
+def check_resolution(resolution: int) -> None:
+    """Raise the ValueError flow_field gives for this grid resolution."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+
+
 def flow_field(matrix: PayoffMatrix | np.ndarray, resolution: int) -> list[FlowSample]:
     """Replicator derivative on a barycentric grid of the 2-simplex.
 
@@ -157,8 +168,7 @@ def flow_field(matrix: PayoffMatrix | np.ndarray, resolution: int) -> list[FlowS
     a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
     if a.shape[0] != 3:
         raise ValueError("flow fields are only defined for exactly 3 types")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    check_resolution(resolution)
     samples: list[FlowSample] = []
     for i in range(resolution + 1):
         for j in range(resolution + 1 - i):

@@ -89,13 +89,23 @@ def label_cooperative(
     return CooperationLabel(cooperative, trace, rounds, seed, fault)
 
 
+def check_trials(trials: int) -> None:
+    """Raise the ValueError cooperation_rate gives for this trial count."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def cooperation_rate(
     program: StrategyProgram,
     rounds: int = 10,
     trials: int = 10,
     seed: int = DEFAULT_LABEL_SEED,
 ) -> float:
-    """Fraction of seeded runs labeled cooperative (for stochastic study)."""
+    """Fraction of seeded runs labeled cooperative (for stochastic study).
+
+    Raises ValueError for fewer than one trial.
+    """
+    check_trials(trials)
     hits = 0
     for trial in range(trials):
         label = label_cooperative(program, rounds, derive_seed(seed, "trial", trial))

@@ -194,14 +194,17 @@ def legal_actions(game: str) -> tuple[str, ...]:
 # itself (never keyed by node equality, which ignores spans).  A closure
 # takes (ctx, frame): the per-evaluation state and the current function's
 # variables.  Every expression closure charges one step before its
-# sub-expressions, every statement closure one step before its parts, and
-# every loop one more step after each iteration; faults carry the steps
-# charged so far.  Statement closures return None, or the value of a
-# `return` they executed.
+# sub-expressions, and every loop one more step after each iteration.  A
+# block runs its statements: it charges each one step before running it, and
+# locates a step past the budget, wherever it is raised, at the statement
+# it was running; so the innermost running statement carries the fault.
+# Other faults carry the steps charged so far.  Statement closures return
+# None, or the value of a `return` they executed.
 
 
 class _OutOfSteps(Exception):
-    """A step past the budget; the innermost running statement locates it."""
+    """A step past the budget; the block running the innermost statement
+    locates it there."""
 
 
 class _Ctx:
@@ -287,106 +290,66 @@ class _Compiled:
     # -- statements -----------------------------------------------------------
 
     def block(self, stmts: n.Block):
-        run = tuple(self.stmt(s) for s in stmts)
-        if not run:
-            return _no_op
-        if len(run) == 1:
-            return run[0]
+        run = tuple((_STATEMENTS[type(s)](self, s), s.span) for s in stmts)
 
         def block(ctx, frame):
-            for stmt in run:
-                value = stmt(ctx, frame)
-                if value is not None:
-                    return value
+            try:
+                for stmt, span in run:
+                    ctx.left -= 1
+                    if ctx.left < 0:
+                        raise _OutOfSteps
+                    value = stmt(ctx, frame)
+                    if value is not None:
+                        return value
+            except _OutOfSteps:
+                raise _out_of_steps(ctx, span) from None
             return None
 
         return block
 
-    def stmt(self, stmt: n.Stmt):
-        span = stmt.span
-        kind = type(stmt)
-        if kind is n.Let:
-            return self.let(stmt, span)
-        if kind is n.Assign:
-            return self.assign(stmt, span)
-        if kind is n.Return:
-            return self.return_(stmt, span)
-        if kind is n.ExprStmt:
-            return self.expr_stmt(stmt, span)
-        if kind is n.If:
-            return self.if_(stmt, span)
-        if kind is n.While:
-            return self.while_(stmt, span)
-        if kind is n.For:
-            return self.for_(stmt, span)
-        raise TypeError(f"unknown statement {stmt!r}")  # pragma: no cover
-
-    def expr_stmt(self, stmt: n.ExprStmt, span: Span):
+    def expr_stmt(self, stmt: n.ExprStmt):
         value = self.expr(stmt.value)
 
         def expr_stmt(ctx, frame):
-            try:
-                ctx.left -= 1
-                if ctx.left < 0:
-                    raise _OutOfSteps
-                value(ctx, frame)
-            except _OutOfSteps:
-                raise _out_of_steps(ctx, span) from None
+            value(ctx, frame)
 
         return expr_stmt
 
-    def let(self, stmt: n.Let, span: Span):
+    def let(self, stmt: n.Let):
         name = stmt.name
         value = self.expr(stmt.value)
 
         def let(ctx, frame):
-            try:
-                ctx.left -= 1
-                if ctx.left < 0:
-                    raise _OutOfSteps
-                frame[name] = value(ctx, frame)
-            except _OutOfSteps:
-                raise _out_of_steps(ctx, span) from None
+            frame[name] = value(ctx, frame)
 
         return let
 
-    def assign(self, stmt: n.Assign, span: Span):
+    def assign(self, stmt: n.Assign):
         name = stmt.name
         name_span = stmt.name_span
         value = self.expr(stmt.value)
 
         def assign(ctx, frame):
-            try:
-                ctx.left -= 1
-                if ctx.left < 0:
-                    raise _OutOfSteps
-                result = value(ctx, frame)
-            except _OutOfSteps:
-                raise _out_of_steps(ctx, span) from None
+            result = value(ctx, frame)
             if name not in frame:
                 _type_fault(ctx, name_span, f"assignment to unbound variable '{name}'")
             frame[name] = result
 
         return assign
 
-    def return_(self, stmt: n.Return, span: Span):
+    def return_(self, stmt: n.Return):
+        span = stmt.span
         value = self.expr(stmt.value)
 
         def return_(ctx, frame):
-            try:
-                ctx.left -= 1
-                if ctx.left < 0:
-                    raise _OutOfSteps
-                result = value(ctx, frame)
-            except _OutOfSteps:
-                raise _out_of_steps(ctx, span) from None
+            result = value(ctx, frame)
             # The last return to finish is the strategy's own, if it has one.
             ctx.ret_span = span
             return result
 
         return return_
 
-    def if_(self, stmt: n.If, span: Span):
+    def if_(self, stmt: n.If):
         arms = tuple(
             (self.expr(cond), cond.span, self.block(body))
             for cond, body in stmt.arms
@@ -394,75 +357,57 @@ class _Compiled:
         orelse = _no_op if stmt.orelse is None else self.block(stmt.orelse)
 
         def if_(ctx, frame):
-            try:
-                ctx.left -= 1
-                if ctx.left < 0:
-                    raise _OutOfSteps
-                for cond, cond_span, body in arms:
-                    test = cond(ctx, frame)
-                    if test is True:
-                        return body(ctx, frame)
-                    if test is not False:
-                        _condition_fault(ctx, cond_span, test)
-                return orelse(ctx, frame)
-            except _OutOfSteps:
-                raise _out_of_steps(ctx, span) from None
+            for cond, cond_span, body in arms:
+                test = cond(ctx, frame)
+                if test is True:
+                    return body(ctx, frame)
+                if test is not False:
+                    _condition_fault(ctx, cond_span, test)
+            return orelse(ctx, frame)
 
         return if_
 
-    def while_(self, stmt: n.While, span: Span):
+    def while_(self, stmt: n.While):
         cond = self.expr(stmt.cond)
         cond_span = stmt.cond.span
         body = self.block(stmt.body)
 
         def while_(ctx, frame):
-            try:
+            while True:
+                test = cond(ctx, frame)
+                if test is not True:
+                    if test is False:
+                        return None
+                    _condition_fault(ctx, cond_span, test)
+                result = body(ctx, frame)
+                if result is not None:
+                    return result
                 ctx.left -= 1
                 if ctx.left < 0:
                     raise _OutOfSteps
-                while True:
-                    test = cond(ctx, frame)
-                    if test is not True:
-                        if test is False:
-                            return None
-                        _condition_fault(ctx, cond_span, test)
-                    result = body(ctx, frame)
-                    if result is not None:
-                        return result
-                    ctx.left -= 1
-                    if ctx.left < 0:
-                        raise _OutOfSteps
-            except _OutOfSteps:
-                raise _out_of_steps(ctx, span) from None
 
         return while_
 
-    def for_(self, stmt: n.For, span: Span):
+    def for_(self, stmt: n.For):
         var = stmt.var
         iterable = self.expr(stmt.iterable)
         iterable_span = stmt.iterable.span
         body = self.block(stmt.body)
 
         def for_(ctx, frame):
-            try:
+            items = iterable(ctx, frame)
+            if type(items) is not list:
+                detail = f"for-in expects a list, got {type_name(items)}"
+                _type_fault(ctx, iterable_span, detail)
+            for item in items:
+                frame[var] = item
+                result = body(ctx, frame)
+                if result is not None:
+                    return result
                 ctx.left -= 1
                 if ctx.left < 0:
                     raise _OutOfSteps
-                items = iterable(ctx, frame)
-                if type(items) is not list:
-                    detail = f"for-in expects a list, got {type_name(items)}"
-                    _type_fault(ctx, iterable_span, detail)
-                for item in items:
-                    frame[var] = item
-                    result = body(ctx, frame)
-                    if result is not None:
-                        return result
-                    ctx.left -= 1
-                    if ctx.left < 0:
-                        raise _OutOfSteps
-                return None
-            except _OutOfSteps:
-                raise _out_of_steps(ctx, span) from None
+            return None
 
         return for_
 
@@ -610,6 +555,14 @@ class _Compiled:
             self.can_draw = self.can_draw or BUILTINS[expr.name].stochastic
             return _builtin_call(builtin, args, expr.span)
         return _unknown_call(expr.name, args, expr.name_span)
+
+
+#: The compiler of each statement class.
+_STATEMENTS = {
+    n.Let: _Compiled.let, n.Assign: _Compiled.assign, n.Return: _Compiled.return_,
+    n.ExprStmt: _Compiled.expr_stmt, n.If: _Compiled.if_, n.While: _Compiled.while_,
+    n.For: _Compiled.for_,
+}
 
 
 def _condition_fault(ctx: _Ctx, span: Span, value):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from osgames import _pool
+from osgames import _pool, evolution
 from osgames.cli import _match_config, build_parser, main
 from osgames.fixtures import corpus_path, ipd_corpus_dir
 
@@ -529,6 +529,10 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
          "rounds must be positive"),
         (["label", str(ipd_corpus_dir()), "--config", "{rounds0}"], "rounds must be positive"),
         (["label", str(ipd_corpus_dir()), "--jobs", "0"], "jobs must be at least 1"),
+        (["label", str(ipd_corpus_dir()), "--trials", "-2"], "trials must be at least 1"),
+        (["label", str(ipd_corpus_dir()), "--trials", "0"], "trials must be at least 1"),
+        (["meta", "{providers}", "--seeds", "0"], "seeds must be at least 1"),
+        (["meta", "{providers}", "--seeds", "-3"], "seeds must be at least 1"),
         (["tournament", ALLC, ALLD, "--jobs", "-5"], "jobs must be at least 1"),
         (["evolve", ALLC, ALLD, TFT, "--steps", "-1"], "steps must be non-negative"),
         (["evolve", ALLC, ALLD, TFT, "--dt", "0"], "dt must be positive"),
@@ -536,17 +540,29 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         (["flow", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
         (["match", "--game", "coin", "--board-size", "1", *COIN],
          "board size must be at least 2"),
+        (["match", TFT, ALLD, "--step-limit", "0"], "budget limits must be strictly positive"),
     ],
     ids=[
         "label-rounds", "label-variants-rounds", "label-config-rounds", "label-jobs",
+        "label-trials", "label-trials-zero", "meta-seeds", "meta-seeds-negative",
         "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-resolution",
-        "flow-resolution", "match-board-size",
+        "flow-resolution", "match-board-size", "match-step-limit",
     ],
 )
-def test_out_of_range_option_exit_2(tmp_path, capsys, argv, message):
+def test_out_of_range_option_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"rounds": 0}))
-    argv = [str(config) if arg == "{rounds0}" else arg for arg in argv]
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps({"a": {"kind": "static", "path": TFT},
+                                     "b": {"kind": "static", "path": ALLD}}))
+    files = {"{rounds0}": str(config), "{providers}": str(providers)}
+    argv = [files.get(arg, arg) for arg in argv]
+    if argv[0] in ("evolve", "flow"):  # the options are checked before any match
+
+        def no_round_robin(*args, **kwargs):
+            raise AssertionError("round robin played before the option check")
+
+        monkeypatch.setattr(evolution, "estimate_payoff_matrix", no_round_robin)
     out = tmp_path / "out"
     code, _, err = run([*argv, "--out", str(out)], capsys)
     assert code == 2

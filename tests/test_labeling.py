@@ -109,6 +109,12 @@ def test_cooperation_rate_bounds(ipd_corpus):
     assert 0.0 <= rate <= 0.3  # P(all 10 C) = 2^-10 per trial
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_cooperation_rate_needs_a_trial(ipd_corpus, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        cooperation_rate(dict(ipd_corpus)["allc"], trials=trials)
+
+
 def test_build_benchmark_counts_and_agreement(ipd_sources):
     items = build_benchmark(ipd_sources, seed=1729)
     assert len(items) == len(ipd_sources) * 3

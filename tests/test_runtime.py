@@ -54,6 +54,32 @@ def test_infinite_loop_hits_step_budget():
     assert src[fault.span.start : fault.span.start + 5] == "while"
 
 
+# "@" marks the statement that should carry the fault; it is cut before parsing.
+@pytest.mark.parametrize(
+    "marked, step_limit",
+    [
+        ("fn strategy() {\n    @while true {\n    }\n}\n", 500),
+        ("fn strategy() {\n    if true {\n        @while true {\n        }\n    }\n}\n", 500),
+        ("fn strategy() {\n    while true {\n        @while true {\n        }\n    }\n}\n", 500),
+        ("fn strategy() {\n    for x in [1, 2] {\n        @while true {\n        }\n    }\n}\n",
+         500),
+        ("fn spin() {\n    @while true {\n    }\n}\nfn strategy() {\n    return spin()\n}\n", 500),
+        # Steps: let, +, call, return, 1 inside one(); then the right operand
+        # 1 is the sixth, past the limit of 5, after one() has returned.
+        ("fn one() {\n    return 1\n}\n"
+         "fn strategy() {\n    @let x = one() + 1\n    return \"C\"\n}\n", 5),
+    ],
+    ids=["loop", "if-body", "while-body", "for-body", "helper-body", "let-after-call"],
+)
+def test_step_budget_fault_lands_on_innermost_statement(marked, step_limit):
+    src = marked.replace("@", "")
+    fault = fault_of(src, budget=Budget(step_limit=step_limit))
+    assert fault.kind is FaultKind.STEP_BUDGET
+    assert fault.steps == step_limit + 1
+    # the fault is attributed to the innermost statement running at the time
+    assert fault.span.start == marked.index("@")
+
+
 def test_budget_monotonicity():
     src = 'fn strategy() {\n    let x = 0\n    while x < 50 {\n        x = x + 1\n    }\n    return "C"\n}\n'
     tree = parse_source(src)
