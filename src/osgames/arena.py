@@ -179,62 +179,55 @@ def _require_valid(program: StrategyProgram, game: str, who: str) -> None:
         raise ProgramError(f"player {who} does not validate for {game}: {messages}")
 
 
-def _eval_round(
-    program: StrategyProgram, env: Bindings, cfg: MatchConfig, player: str
+def _act(
+    node: list | None, program: StrategyProgram, env: Bindings, cfg: MatchConfig, player: str
 ) -> tuple[str, FaultRecord | None]:
+    """The player's action this round and its fault, if any.
+
+    With a history-trie node (round_robin's _HistoryTries) the result is
+    evaluated on the first visit and read from the node on every later one;
+    with None it is evaluated every time.
+    """
     r = env.round_index
-    rng = None  # a program that cannot draw never touches its stream
-    if can_draw(program.tree):
-        rng = SplitMix64(derive_seed(cfg.seed, "eval", player, r))
-    try:
-        value, _ = evaluate(program.tree, env, cfg.budget, rng)
-        return value, None
-    except RuntimeFault as fault:
-        span = (fault.span.start, fault.span.end)
-        return cfg.fallback_action, FaultRecord(player, r, fault.kind.value, span, fault.detail)
-
-
-def _recall(
-    node: list, program: StrategyProgram, env: Bindings, cfg: MatchConfig, player: str
-) -> tuple[str, FaultRecord | None]:
-    """_eval_round through a history-trie node: evaluate on the first visit,
-    read the stored result on every later one."""
-    result = node[0]
+    result = None if node is None else node[0]
     if result is None:
-        action, fault = _eval_round(program, env, cfg, player)
-        node[0] = action if fault is None else (action, fault.kind, fault.span, fault.detail)
-        return action, fault
+        rng = None  # a program that cannot draw never touches its stream
+        if can_draw(program.tree):
+            rng = SplitMix64(derive_seed(cfg.seed, "eval", player, r))
+        try:
+            result, _ = evaluate(program.tree, env, cfg.budget, rng)
+        except RuntimeFault as fault:
+            span = (fault.span.start, fault.span.end)
+            result = (cfg.fallback_action, fault.kind.value, span, fault.detail)
+        if node is not None:
+            node[0] = result
     if type(result) is str:
         return result, None
     action, kind, span, detail = result
-    return action, FaultRecord(player, env.round_index, kind, span, detail)
+    return action, FaultRecord(player, r, kind, span, detail)
 
 
 def play_match(
-    pa: StrategyProgram, pb: StrategyProgram, cfg: MatchConfig = MatchConfig()
+    pa: StrategyProgram,
+    pb: StrategyProgram,
+    cfg: MatchConfig = MatchConfig(),
+    tries: _HistoryTries | None = None,
 ) -> MatchRecord:
     """Run one full match; faults become fallback actions plus log entries.
 
     Programs not already loaded for cfg.game (see StrategyProgram.game) are
     validated first.  One loop serves both games; only the step differs.
     Each player has one binding for the whole match, over the match's own
-    history lists, which grow only after both players have moved.
+    history lists, which grow only after both players have moved.  With
+    tries (round_robin's _HistoryTries), a seed-free player's results are
+    read from and kept in its trie.
     """
-    return _play(pa, pb, cfg)
-
-
-def _play(
-    pa: StrategyProgram,
-    pb: StrategyProgram,
-    cfg: MatchConfig,
-    tries: _HistoryTries | None = None,
-    node_a: list | None = None,
-    node_b: list | None = None,
-) -> MatchRecord:
-    """play_match's loop.  A player with a trie node (round_robin's
-    _HistoryTries) reads its result there; None evaluates."""
     _require_valid(pa, cfg.game, "A")
     _require_valid(pb, cfg.game, "B")
+    node_a = node_b = None
+    if tries is not None:
+        node_a = tries.root(pa, pb, cfg.game)
+        node_b = tries.root(pb, pa, cfg.game)
     state = None  # coin game board; None for the IPD
     if cfg.game == GAME_COIN:
         state = games.initial_coin_state(
@@ -255,14 +248,8 @@ def _play(
             a, b, red, blue = state.pos_a, state.pos_b, state.coin_red, state.coin_blue
             env_a.coin_view = CoinView(a, b, red, blue, state.n)
             env_b.coin_view = CoinView(b, a, blue, red, state.n)
-        if node_a is None:
-            act_a, fault_a = _eval_round(pa, env_a, cfg, "A")
-        else:
-            act_a, fault_a = _recall(node_a, pa, env_a, cfg, "A")
-        if node_b is None:
-            act_b, fault_b = _eval_round(pb, env_b, cfg, "B")
-        else:
-            act_b, fault_b = _recall(node_b, pb, env_b, cfg, "B")
+        act_a, fault_a = _act(node_a, pa, env_a, cfg, "A")
+        act_b, fault_b = _act(node_b, pb, env_b, cfg, "B")
         faults.extend(f for f in (fault_a, fault_b) if f is not None)
         if state is None:
             da, db = games.ipd_payoff(act_a, act_b, cfg.payoffs)
@@ -347,11 +334,12 @@ class _HistoryTries:
 
     Such a program's result in a round depends only on the joint history so
     far, its own source, the opponent's source if it reads opp_source, and
-    the round robin's one config (the seed aside).  Each program index, with
-    the opponent's source if it reads it, has a trie; a node at depth r is a
-    joint history of r rounds, kept as a list of five slots: the result
-    there (the action, or (action, fault kind, span, detail); None until
-    evaluated) and one child per joint action of the next round.
+    the round robin's one config (the seed aside).  Each program source,
+    with the opponent's source if it reads it, has a trie, so two types of
+    identical text share one; a node at depth r is a joint history of r
+    rounds, kept as a list of five slots: the result there (the action, or
+    (action, fault kind, span, detail); None until evaluated) and one child
+    per joint action of the next round.
     """
 
     def __init__(self):
@@ -364,13 +352,11 @@ class _HistoryTries:
         self.room -= 1
         return [None, None, None, None, None]
 
-    def root(
-        self, index: int, program: StrategyProgram, opponent: StrategyProgram, game: str
-    ) -> list | None:
+    def root(self, program: StrategyProgram, opponent: StrategyProgram, game: str) -> list | None:
         """The program's node for the empty history, or None to evaluate."""
         if not _seed_free(program, game):
             return None
-        key = (index, opponent.text) if reads_opp_source(program.tree) else index
+        key = (program.text, opponent.text) if reads_opp_source(program.tree) else program.text
         node = self.roots.get(key)
         if node is None:
             node = self.roots[key] = self._node()
@@ -399,11 +385,8 @@ def _play_share(
     tries = _HistoryTries()
     results = []
     for i, j, seeds in pairings:
-        pi, pj = programs[i], programs[j]
-        node_i = tries.root(i, pi, pj, cfg.game)
-        node_j = tries.root(j, pj, pi, cfg.game)
         totals = tuple(
-            _play(pi, pj, replace(cfg, seed=seed), tries, node_i, node_j).totals
+            play_match(programs[i], programs[j], replace(cfg, seed=seed), tries).totals
             for seed in seeds
         )
         results.append((i, j, totals))
@@ -433,14 +416,14 @@ def round_robin(
 
     Within the call, a seed-free program is also evaluated only once per
     distinct history it meets, whoever the opponent: its results are kept
-    in history tries (_HistoryTries), keyed by the program's index and, if
+    in history tries (_HistoryTries), keyed by the program's source and, if
     it reads opp_source, the opponent's source.  Self-play shares one trie
-    between the seats.  Each share keeps one set of tries for all of its
-    pairings; they stop growing at TRIE_NODE_CAP nodes per share and are
-    dropped when the share ends, so no work carries from one call to the
-    next.  The table is the same as if every round were evaluated, for any
-    jobs.  Raises ArenaError for fewer than two types, or for repetitions
-    or jobs below 1.
+    between the seats.  Every match is played by play_match, and each share
+    keeps one set of tries for all of its pairings; they stop growing at
+    TRIE_NODE_CAP nodes per share and are dropped when the share ends, so
+    no work carries from one call to the next.  The table is the same as if
+    every round were evaluated, for any jobs.  Raises ArenaError for fewer
+    than two types, or for repetitions or jobs below 1.
     """
     from ._pool import pool_map, workers  # _pool imports this module
 

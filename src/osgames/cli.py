@@ -329,18 +329,23 @@ def cmd_tournament(args) -> int:
     return EXIT_OK
 
 
-def _matrix_from_args(args) -> evolution.PayoffMatrix:
+def _matrix_from_args(args, check):
+    """The payoff matrix of --matrix FILE or of the programs' round robin,
+    and check(size) on its number of types, which for programs runs before
+    any match is played."""
     if args.matrix is not None:
         try:
             obj = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
-            return evolution.PayoffMatrix.from_json_dict(obj)
+            matrix = evolution.PayoffMatrix.from_json_dict(obj)
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise CliError(f"bad matrix file {args.matrix}: {exc}") from exc
+        return matrix, check(matrix.size)
     if not args.programs:
         raise CliError("give either --matrix FILE or program files")
     programs = _load_programs(args.programs, args.game)
+    checked = check(len(programs))
     entries = [(Path(p).stem, prog) for p, prog in zip(args.programs, programs)]
-    return evolution.estimate_payoff_matrix(entries, _match_config(args), args.reps)
+    return evolution.estimate_payoff_matrix(entries, _match_config(args), args.reps), checked
 
 
 def _parse_x0(arg: str | None, size: int) -> np.ndarray:
@@ -350,7 +355,12 @@ def _parse_x0(arg: str | None, size: int) -> np.ndarray:
         values = np.array([float(v) for v in arg.split(",")], dtype=float)
     except ValueError as exc:
         raise CliError(f"bad --x0 {arg!r}") from exc
-    if values.shape != (size,) or np.any(values < 0) or abs(values.sum() - 1) > 1e-9:
+    if (
+        values.shape != (size,)
+        or not np.all(np.isfinite(values))
+        or np.any(values < 0)
+        or abs(values.sum() - 1) > 1e-9
+    ):
         raise CliError(f"--x0 must be {size} non-negative values summing to 1")
     return values
 
@@ -363,17 +373,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> Path:
     return atomic_write_text(path, buf.getvalue())
 
 
+def _evolve_start(args, size: int) -> np.ndarray:
+    """The start population for this many types, after the checks of the
+    options that depend on it."""
+    if size == 3:  # a flow field follows
+        _checked(evolution.check_flow, size, args.resolution)
+    return _parse_x0(args.x0, size)
+
+
 def cmd_evolve(args) -> int:
-    # Checked before _matrix_from_args plays the round robin.
-    _checked(evolution.check_steps, args.dt, args.steps)
-    if args.matrix is None and len(args.programs) == 3:  # a flow field follows
-        _checked(evolution.check_resolution, args.resolution)
-    matrix = _matrix_from_args(args)
-    x0 = _parse_x0(args.x0, matrix.size)
+    _checked(evolution.check_steps, args.dt, args.steps)  # before the round robin
+    matrix, x0 = _matrix_from_args(args, lambda size: _evolve_start(args, size))
     trajectory = _checked(evolution.integrate, matrix, x0, dt=args.dt, steps=args.steps)
     samples = None
     if matrix.size == 3:
-        samples = _checked(evolution.flow_field, matrix, args.resolution)
+        samples = evolution.flow_field(matrix, args.resolution)
     outdir = _out_path(args.out, "evolve_run")
     artifacts = [atomic_write_json(outdir / "payoff_matrix.json", matrix.to_json_dict())]
     artifacts.append(
@@ -426,11 +440,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    _checked(evolution.check_resolution, args.resolution)  # before the round robin
-    matrix = _matrix_from_args(args)
-    if matrix.size != 3:
-        raise CliError("flow fields are only defined for exactly 3 types")
-    samples = _checked(evolution.flow_field, matrix, args.resolution)
+    matrix, _ = _matrix_from_args(
+        args, lambda size: _checked(evolution.check_flow, size, args.resolution)
+    )
+    samples = evolution.flow_field(matrix, args.resolution)
     header = (
         [f"x_{t}" for t in matrix.tags]
         + [f"dx_{t}" for t in matrix.tags]
@@ -563,6 +576,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_type_error(action: argparse.Action, value) -> str | None:
+    """None if a --config value has the JSON type of its option, else what
+    the option needs."""
+    if action.nargs == 0:  # a flag
+        return None if isinstance(value, bool) else "true or false"
+    if action.nargs in ("*", "+"):
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        return None if ok else "a list of strings"
+    if action.choices is not None:
+        return None if value in action.choices else f"one of {list(action.choices)}"
+    if action.type is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        return None if ok else "an integer"
+    if action.type is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return None if ok else "a number"
+    return None if isinstance(value, str) else "a string"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -574,13 +606,20 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if not isinstance(config, dict):
+            print(f"error: config {config_path} must be a JSON object", file=sys.stderr)
+            return EXIT_USAGE
         subparser = args._registry[args.command]
-        known = {a.dest for a in subparser._actions}
+        actions = {a.dest: a for a in subparser._actions}
         defaults = {}
         for key, value in config.items():
             dest = key.replace("-", "_")
-            if dest not in known:
+            if dest not in actions:
                 print(f"error: unknown config option {key!r}", file=sys.stderr)
+                return EXIT_USAGE
+            wanted = _config_type_error(actions[dest], value)
+            if wanted is not None:
+                print(f"error: config option {key!r} must be {wanted}", file=sys.stderr)
                 return EXIT_USAGE
             defaults[dest] = value
         subparser.set_defaults(**defaults)

@@ -79,7 +79,7 @@ def _as_simplex(x, size: int, tol: float = 1e-9) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (size,):
         raise ValueError(f"population must have {size} entries")
-    if np.any(x < -tol) or abs(x.sum() - 1.0) > tol:
+    if not np.all(np.isfinite(x)) or np.any(x < -tol) or abs(x.sum() - 1.0) > tol:
         raise ValueError("population must lie on the probability simplex")
     return x
 
@@ -106,8 +106,8 @@ class Trajectory:
 
 def check_steps(dt: float, steps: int) -> None:
     """Raise the ValueError integrate gives for this step size and count."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:  # also false for nan
+        raise ValueError("dt must be positive and finite")
     if steps < 0:
         raise ValueError("steps must be non-negative")
 
@@ -153,8 +153,11 @@ class FlowSample:
     strength: float
 
 
-def check_resolution(resolution: int) -> None:
-    """Raise the ValueError flow_field gives for this grid resolution."""
+def check_flow(size: int, resolution: int) -> None:
+    """Raise the ValueError flow_field gives for this many types and this
+    grid resolution."""
+    if size != 3:
+        raise ValueError("flow fields are only defined for exactly 3 types")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
 
@@ -166,9 +169,7 @@ def flow_field(matrix: PayoffMatrix | np.ndarray, resolution: int) -> list[FlowS
     yields (resolution+1)(resolution+2)/2 samples.
     """
     a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
-    if a.shape[0] != 3:
-        raise ValueError("flow fields are only defined for exactly 3 types")
-    check_resolution(resolution)
+    check_flow(a.shape[0], resolution)
     samples: list[FlowSample] = []
     for i in range(resolution + 1):
         for j in range(resolution + 1 - i):

@@ -111,18 +111,11 @@ def run_meta_game(
     if meta_rounds < 1:
         raise MetaGameError("meta_rounds must be at least 1")
     providers = (prov_a, prov_b)
-    started: list[Provider] = []
-    try:
-        for p in providers:
-            started.append(p)  # closed on failure, even one whose start failed
-            p.start(cfg.game)
-    except BaseException:
-        for p in started:
-            p.close()
-        raise
     rounds: list[MetaRound] = []
     previous: list[StrategyProgram | None] = [None, None]
     try:
+        for p in providers:
+            p.start(cfg.game)
         for k in range(1, meta_rounds + 1):
             programs: list[StrategyProgram] = []
             faults: list[str] = []
@@ -164,7 +157,7 @@ def run_meta_game(
                 )
             )
             previous = programs
-    finally:
+    finally:  # closing a provider that never started does nothing
         for p in providers:
             p.close()
     return MetaGameRecord(

@@ -337,13 +337,13 @@ def test_serial_round_robin_parses_each_program_once(monkeypatch, ipd_corpus):
 
 def count_matches(monkeypatch):
     calls = []
-    real = arena._play  # the match loop behind play_match and round_robin
+    real = arena.play_match  # the one match loop, round_robin's included
 
-    def counting(pa, pb, cfg, *tries_and_nodes):
+    def counting(pa, pb, cfg, tries=None):
         calls.append((pa.text, pb.text, cfg.seed))
-        return real(pa, pb, cfg, *tries_and_nodes)
+        return real(pa, pb, cfg, tries)
 
-    monkeypatch.setattr(arena, "_play", counting)
+    monkeypatch.setattr(arena, "play_match", counting)
     return calls
 
 
@@ -403,15 +403,29 @@ def test_round_robin_evaluates_each_seed_free_history_once(monkeypatch, ipd_corp
     assert len(calls) == 1038  # 264 matches x 10 = 2640 with no reuse
 
 
+def test_types_of_identical_text_share_one_trie(monkeypatch, tft, alld):
+    twin = load_program(tft.text, origin="twin")
+    entries = [("tft", tft), ("twin", twin), ("alld", alld)]
+    cfg = MatchConfig(rounds=4, seed=6)
+    calls = count_evaluations(monkeypatch)
+    table = round_robin(entries, cfg)
+    # The TFT text meets 7 histories of up to 3 rounds (all C against
+    # itself, C then D's against AllD), and AllD meets 7; a trie per type
+    # would evaluate the TFT text's 7 once for each of its two tags.
+    assert len(calls) == 7 + 7
+    monkeypatch.undo()
+    assert table == reference_round_robin(entries, cfg, repetitions=1)
+
+
 def distinct_histories(programs, pairings, cfg):
-    """The (program key, joint history) pairs the seed-free players of
+    """The (trie key, joint history) pairs the seed-free players of
     these pairings meet, from plain play_match records."""
     seen = set()
     for i, j, seeds in pairings:
         for seed in seeds:
             record = play_match(programs[i], programs[j], replace(cfg, seed=seed))
-            for me, other, seat in ((i, j, 0), (j, i, 1)):
-                key = (me, programs[other].text) if reads_opp_source(programs[me].tree) else me
+            for me, other, seat in ((programs[i], programs[j], 0), (programs[j], programs[i], 1)):
+                key = (me.text, other.text) if reads_opp_source(me.tree) else me.text
                 joint = tuple((turn[seat], turn[1 - seat]) for turn in record.actions)
                 seen.update((key, joint[:r]) for r in range(cfg.rounds))
     return seen
@@ -490,9 +504,7 @@ def test_trie_replay_keeps_every_fault(monkeypatch, alld, tft):
     for warm in (False, True):
         del calls[:]
         for i, j in pairs:
-            pi, pj = programs[i], programs[j]
-            nodes = tries.root(i, pi, pj, cfg.game), tries.root(j, pj, pi, cfg.game)
-            record = arena._play(pi, pj, cfg, tries, *nodes)
+            record = play_match(programs[i], programs[j], cfg, tries)
             assert canonical_json_bytes(record.to_json_dict()) == expected[(i, j)]
         assert (len(calls) == 0) if warm else (0 < len(calls) < 2 * cfg.rounds * len(pairs))
 

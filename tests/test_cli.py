@@ -536,8 +536,13 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         (["tournament", ALLC, ALLD, "--jobs", "-5"], "jobs must be at least 1"),
         (["evolve", ALLC, ALLD, TFT, "--steps", "-1"], "steps must be non-negative"),
         (["evolve", ALLC, ALLD, TFT, "--dt", "0"], "dt must be positive"),
+        (["evolve", ALLC, ALLD, TFT, "--dt", "nan"], "dt must be positive and finite"),
+        (["evolve", ALLC, ALLD, TFT, "--dt", "inf"], "dt must be positive and finite"),
+        (["evolve", ALLC, ALLD, TFT, "--x0", "nan,0.5,0.5"],
+         "--x0 must be 3 non-negative values summing to 1"),
         (["evolve", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
         (["flow", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
+        (["flow", ALLC, ALLD], "flow fields are only defined for exactly 3 types"),
         (["match", "--game", "coin", "--board-size", "1", *COIN],
          "board size must be at least 2"),
         (["match", TFT, ALLD, "--step-limit", "0"], "budget limits must be strictly positive"),
@@ -545,8 +550,9 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
     ids=[
         "label-rounds", "label-variants-rounds", "label-config-rounds", "label-jobs",
         "label-trials", "label-trials-zero", "meta-seeds", "meta-seeds-negative",
-        "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-resolution",
-        "flow-resolution", "match-board-size", "match-step-limit",
+        "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-dt-nan", "evolve-dt-inf",
+        "evolve-x0-nan", "evolve-resolution", "flow-resolution", "flow-two-types",
+        "match-board-size", "match-step-limit",
     ],
 )
 def test_out_of_range_option_exit_2(tmp_path, capsys, monkeypatch, argv, message):
@@ -582,6 +588,31 @@ def test_config_file_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert ": 0" in out  # one round of (C, D)
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        (["match", TFT, ALLD], {"rounds": 2.5}, "'rounds' must be an integer"),
+        (["match", TFT, ALLD], {"rounds": True}, "'rounds' must be an integer"),
+        (["match", TFT, ALLD], {"payoffs": 5}, "'payoffs' must be a string"),
+        (["tournament", TFT, ALLD], {"jobs": [1]}, "'jobs' must be an integer"),
+        (["tournament", TFT, ALLD], [1, 2], "must be a JSON object"),
+        (["tournament", TFT, ALLD], {"game": "chess"}, "'game' must be one of ['ipd', 'coin']"),
+        (["tournament", TFT, ALLD], {"programs": TFT}, "'programs' must be a list of strings"),
+        (["label", str(ipd_corpus_dir())], {"variants": "no"}, "'variants' must be true or false"),
+    ],
+    ids=["float-rounds", "bool-rounds", "int-payoffs", "list-jobs", "not-object", "game-choice",
+         "programs-string", "flag-string"],
+)
+def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, command, config, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    code, _, err = run([*command, "--config", str(path), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -131,6 +131,15 @@ def test_integrate_input_validation():
         integrate(CLASSIC, np.full(3, 1 / 3), dt=-0.1)
 
 
+@pytest.mark.parametrize(
+    "x0, dt",
+    [([np.nan, 0.5, 0.5], 0.01), ([1 / 3] * 3, np.nan), ([1 / 3] * 3, np.inf)],
+)
+def test_integrate_rejects_non_finite_inputs(x0, dt):
+    with pytest.raises(ValueError):
+        integrate(CLASSIC, x0, dt=dt, steps=10)
+
+
 # --------------------------------------------------------------------------
 # flow field
 

@@ -157,6 +157,18 @@ def test_provider_whose_start_fails_is_closed():
     assert rude._process is None  # shut down, not left running
 
 
+def test_started_provider_is_closed_when_the_other_start_fails():
+    first = ExternalProvider(
+        "a", command=[sys.executable, str(AGENTS / "allc_agent.py")], timeout=20
+    )
+    rude = ExternalProvider(
+        "b", command=[sys.executable, str(AGENTS / "rude_agent.py")], timeout=20
+    )
+    with pytest.raises(ProviderError):
+        run_meta_game(first, rude, 1, MatchConfig(rounds=10))
+    assert first._process is None and rude._process is None
+
+
 def test_external_loopback_equals_static():
     cfg = MatchConfig(rounds=10, seed=4)
     external = run_meta_game(
