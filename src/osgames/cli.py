@@ -337,7 +337,7 @@ def _matrix_from_args(args, check):
         try:
             obj = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
             matrix = evolution.PayoffMatrix.from_json_dict(obj)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise CliError(f"bad matrix file {args.matrix}: {exc}") from exc
         return matrix, check(matrix.size)
     if not args.programs:

@@ -58,7 +58,19 @@ class PayoffMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PayoffMatrix":
-        return cls(tuple(obj["tags"]), np.asarray(obj["matrix"], dtype=float))
+        """The matrix of to_json_dict's object; anything else raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        tags, rows = obj.get("tags"), obj.get("matrix")
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise ValueError(f"tags must be a list of strings, got {tags!r}")
+        if not isinstance(rows, list):
+            raise ValueError(f"matrix must be a list of rows, got {rows!r}")
+        try:
+            a = np.asarray(rows, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be numbers: {exc}") from None
+        return cls(tuple(tags), a)
 
     @classmethod
     def from_table(cls, table: RoundRobinTable) -> "PayoffMatrix":

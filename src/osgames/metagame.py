@@ -77,23 +77,18 @@ class MetaGameError(Exception):
     pass
 
 
-def _history_for(rounds: list[MetaRound], me: int) -> list[dict]:
-    """Meta-history from one provider's perspective."""
+def _history_entry(r: MetaRound, me: int) -> dict:
+    """One meta-round from one provider's perspective."""
     opp = 1 - me
-    out = []
-    for r in rounds:
-        out.append(
-            {
-                "meta_round": r.meta_round,
-                "my_source": r.sources[me],
-                "opponent_source": r.sources[opp],
-                "my_total": r.match.totals[me],
-                "opponent_total": r.match.totals[opp],
-                "my_actions": list(r.match.player_actions("AB"[me])),
-                "opponent_actions": list(r.match.player_actions("AB"[opp])),
-            }
-        )
-    return out
+    return {
+        "meta_round": r.meta_round,
+        "my_source": r.sources[me],
+        "opponent_source": r.sources[opp],
+        "my_total": r.match.totals[me],
+        "opponent_total": r.match.totals[opp],
+        "my_actions": list(r.match.player_actions("AB"[me])),
+        "opponent_actions": list(r.match.player_actions("AB"[opp])),
+    }
 
 
 def run_meta_game(
@@ -113,6 +108,8 @@ def run_meta_game(
     providers = (prov_a, prov_b)
     rounds: list[MetaRound] = []
     previous: list[StrategyProgram | None] = [None, None]
+    # each provider's meta-history, one entry per round, built once
+    histories: tuple[list[dict], list[dict]] = ([], [])
     try:
         for p in providers:
             p.start(cfg.game)
@@ -125,7 +122,8 @@ def run_meta_game(
                 ctx = ProposalContext(
                     game=cfg.game,
                     meta_round=k,
-                    history=_history_for(rounds, me),
+                    # a copy: a provider may keep the context past this round
+                    history=list(histories[me]),
                     opponent_previous_source=seen_previous[me],
                 )
                 origin = f"{provider.provider_id}@r{k}"
@@ -156,6 +154,8 @@ def run_meta_game(
                     match,
                 )
             )
+            for me, history in enumerate(histories):
+                history.append(_history_entry(rounds[-1], me))
             previous = programs
     finally:  # closing a provider that never started does nothing
         for p in providers:

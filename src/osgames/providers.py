@@ -53,6 +53,14 @@ class ProviderError(Exception):
 
 @dataclass
 class ProposalContext:
+    """What a provider is shown before it proposes.
+
+    history holds one entry per earlier meta-round.  `run_meta_game` builds
+    each entry once and never changes it, and gives every proposal its own
+    copy of the list, so a provider's history extends the one it saw last
+    time by one entry.  Providers must not change the entries either.
+    """
+
     game: str
     meta_round: int  # 1-based
     history: list[dict]
@@ -172,16 +180,21 @@ class ExternalProvider(Provider):
     _stderr: deque[str] = field(default_factory=lambda: deque(maxlen=STDERR_TAIL_LINES))
     _stderr_lock: threading.Lock = field(default_factory=threading.Lock)
     _stderr_pump: threading.Thread | None = None
+    #: (entry, its JSON) for each history entry of the last propose.
+    _encoded: list[tuple[dict, str]] = field(default_factory=list)
 
     @property
     def transcript(self) -> list[str]:
         """The last TRANSCRIPT_MESSAGES messages, each cut to a fixed length."""
         return list(self._transcript)
 
-    def _note(self, message: str) -> None:
-        if len(message) > TRANSCRIPT_MESSAGE_CHARS:
-            message = message[:TRANSCRIPT_MESSAGE_CHARS] + "…"
-        self._transcript.append(message)
+    def _note(self, arrow: str, body: str) -> None:
+        """Keep arrow + body, cut to TRANSCRIPT_MESSAGE_CHARS; the body is cut
+        before it is joined, so a long message is never copied whole."""
+        room = TRANSCRIPT_MESSAGE_CHARS - len(arrow)
+        if len(body) > room:
+            body = body[:room] + "…"
+        self._transcript.append(arrow + body)
 
     def _drain_stderr(self, stream) -> None:
         for line, whole in _bounded_lines(stream, TRANSCRIPT_MESSAGE_CHARS):
@@ -230,19 +243,18 @@ class ExternalProvider(Provider):
         )
         self._stderr_pump.start()
         self._reader = _LineReader(self._process.stdout)
-        reply = self._exchange(
-            {"type": "hello", "protocol": PROTOCOL_VERSION, "game": game}
-        )
+        self._encoded.clear()
+        hello = {"type": "hello", "protocol": PROTOCOL_VERSION, "game": game}
+        reply = self._exchange(json.dumps(hello, sort_keys=True))
         if reply.get("type") != "ready":
             raise self._fault(
                 f"agent handshake failed, expected ready, got {reply!r};"
                 f" transcript: {self.transcript}"
             )
 
-    def _exchange(self, message: dict) -> dict:
+    def _exchange(self, line: str) -> dict:
         assert self._process is not None and self._reader is not None
-        line = json.dumps(message, sort_keys=True)
-        self._note(f"-> {line}")
+        self._note("-> ", line)
         try:
             self._process.stdin.write(line + "\n")
             self._process.stdin.flush()
@@ -251,7 +263,7 @@ class ExternalProvider(Provider):
         raw = self._reader.readline(self.timeout)
         if raw is None:
             raise self._fault("agent process closed its output", closed=True)
-        self._note(f"<- {raw.rstrip()}")
+        self._note("<- ", raw.rstrip())
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -260,17 +272,33 @@ class ExternalProvider(Provider):
     def propose(self, ctx: ProposalContext) -> str:
         if self._process is None:
             raise ProviderError("provider not started")
-        reply = self._exchange(
-            {
-                "type": "propose",
-                "meta_round": ctx.meta_round,
-                "history": ctx.history,
-                "opponent_previous_source": ctx.opponent_previous_source,
-            }
-        )
+        reply = self._exchange(self._propose_line(ctx))
         if reply.get("type") != "program" or not isinstance(reply.get("source"), str):
             raise ProviderError(f"agent sent an invalid program message: {reply!r}")
         return reply["source"]
+
+    def _propose_line(self, ctx: ProposalContext) -> str:
+        """json.dumps of the propose message with sort_keys=True, byte for byte.
+
+        Each history entry is encoded once per session: the leading entries
+        that are the very objects of the last propose's history reuse their
+        encoding, and only the rest are encoded.
+        """
+        encoded = self._encoded
+        keep = 0
+        for entry, (old, _) in zip(ctx.history, encoded):
+            if entry is not old:
+                break
+            keep += 1
+        del encoded[keep:]
+        encoded.extend((e, json.dumps(e, sort_keys=True)) for e in ctx.history[keep:])
+        history = ", ".join(text for _, text in encoded)
+        # the keys in sorted order, as json.dumps(..., sort_keys=True) writes them
+        return (
+            f'{{"history": [{history}], "meta_round": {json.dumps(ctx.meta_round)}, '
+            f'"opponent_previous_source": {json.dumps(ctx.opponent_previous_source)}, '
+            '"type": "propose"}'
+        )
 
     def close(self) -> None:
         proc = self._process

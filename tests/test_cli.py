@@ -338,6 +338,22 @@ def test_evolve_rejects_nan_matrix(tmp_path, capsys):
     assert "matrix" in err
 
 
+@pytest.mark.parametrize("command", ["evolve", "flow"])
+@pytest.mark.parametrize(
+    "content",
+    [[[30, 0, 30], [50, 10, 14], [30, 9, 30]],
+     {"tags": "abc", "matrix": [[30, 0, 30], [50, 10, 14], [30, 9, 30]]}],
+    ids=["top-level-list", "tags-string"],
+)
+def test_malformed_matrix_file_exit_2_naming_it(tmp_path, capsys, command, content):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(content))
+    code, _, err = run([command, "--matrix", str(matrix), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert f"bad matrix file {matrix}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evolve_from_matrix_file(tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(

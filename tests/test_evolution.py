@@ -290,3 +290,20 @@ def test_matrix_json_roundtrip():
     again = PayoffMatrix.from_json_dict(CLASSIC.to_json_dict())
     assert again.tags == CLASSIC.tags
     assert np.array_equal(again.a, CLASSIC.a)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[1, 0], [0, 1]],
+        {"tags": "ab", "matrix": [[1, 0], [0, 1]]},
+        {"tags": ["a", 2], "matrix": [[1, 0], [0, 1]]},
+        {"matrix": [[1, 0], [0, 1]]},
+        {"tags": ["a", "b"], "matrix": "1001"},
+        {"tags": ["a", "b"], "matrix": [[1, {}], [0, 1]]},
+    ],
+    ids=["list", "tags-string", "tag-number", "no-tags", "matrix-string", "entry-object"],
+)
+def test_matrix_from_malformed_json_is_a_value_error(obj):
+    with pytest.raises(ValueError):
+        PayoffMatrix.from_json_dict(obj)

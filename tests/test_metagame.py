@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from osgames.arena import MatchConfig
+from osgames.arena import MatchConfig, MatchRecord
 from osgames.metagame import (
     JUDGE_FEATURES,
     MetaGameError,
@@ -97,6 +97,90 @@ def test_meta_history_monotonicity():
         cfg=MatchConfig(rounds=10, seed=0),
     )
     assert seen == [(1, 0), (2, 1), (3, 2), (4, 3)]
+
+
+def test_history_entries_are_built_once_per_round(monkeypatch):
+    calls = []
+    player_actions = MatchRecord.player_actions
+
+    def counted(self, player):
+        calls.append(player)
+        return player_actions(self, player)
+
+    monkeypatch.setattr(MatchRecord, "player_actions", counted)
+    run_meta_game(
+        StaticProvider("a", source=TFT),
+        StaticProvider("b", source=ALLD),
+        meta_rounds=30,
+        cfg=MatchConfig(rounds=10, seed=0),
+    )
+    # two entries a round, each reading both players' actions
+    assert len(calls) == 4 * 30
+
+
+def test_each_proposal_keeps_its_own_history_snapshot():
+    contexts = []
+
+    class Spy(StaticProvider):
+        def propose(self, ctx):
+            contexts.append(ctx)
+            return super().propose(ctx)
+
+    run_meta_game(
+        Spy("a", source=ALLC),
+        StaticProvider("b", source=TFT),
+        meta_rounds=6,
+        cfg=MatchConfig(rounds=10, seed=0),
+    )
+    assert [len(ctx.history) for ctx in contexts] == [0, 1, 2, 3, 4, 5]
+    # each history extends the previous one with the very same entries
+    for before, after in zip(contexts, contexts[1:]):
+        assert all(x is y for x, y in zip(before.history, after.history))
+
+
+def _entry(r, me):
+    """A history entry as docs/records.md defines it."""
+    opp = 1 - me
+    return {
+        "meta_round": r.meta_round,
+        "my_source": r.sources[me],
+        "opponent_source": r.sources[opp],
+        "my_total": r.match.totals[me],
+        "opponent_total": r.match.totals[opp],
+        "my_actions": [turn[me] for turn in r.match.actions],
+        "opponent_actions": [turn[opp] for turn in r.match.actions],
+    }
+
+
+def test_propose_lines_are_json_dumps_of_the_message(tmp_path):
+    logs = (tmp_path / "a.ndjson", tmp_path / "b.ndjson")
+    providers = [
+        ExternalProvider(
+            pid,
+            command=[sys.executable, str(AGENTS / "recording_agent.py"), str(log), action],
+            timeout=20,
+        )
+        for pid, log, action in zip("ab", logs, "CD")
+    ]
+    record = run_meta_game(*providers, meta_rounds=7, cfg=MatchConfig(rounds=6, seed=3))
+    assert len(record.rounds[2].provider_faults) == 2  # both agents fail in round 3
+    assert "☕" in record.rounds[0].sources[0]
+    for me, log in enumerate(logs):
+        lines = log.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == json.dumps({"game": "ipd", "protocol": 1, "type": "hello"})
+        proposes = lines[1:-2]
+        assert lines[-2:] == ['{"type": "shutdown"}', ""]
+        assert len(proposes) == 7
+        for k, line in enumerate(proposes, start=1):
+            message = {
+                "type": "propose",
+                "meta_round": k,
+                "history": [_entry(r, me) for r in record.rounds[: k - 1]],
+                "opponent_previous_source": record.rounds[k - 1].opponent_previous[me],
+            }
+            assert line == json.dumps(message, sort_keys=True)
+        assert proposes[0].endswith('"opponent_previous_source": null, "type": "propose"}')
+        assert "\\u2615" in proposes[-1]
 
 
 def test_invalid_source_reuses_previous():

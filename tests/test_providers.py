@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 import time
 from pathlib import Path
@@ -81,6 +82,63 @@ def test_external_provider_transcript_is_bounded():
     assert all(len(m) <= TRANSCRIPT_MESSAGE_CHARS + 1 for m in transcript)
     assert transcript[-1].startswith("<- ") and transcript[-2].startswith("-> ")
     assert transcript[-2].endswith("…")  # the long propose message was cut
+
+
+def test_transcript_cuts_the_body_as_the_whole_message_was_cut():
+    def old_formula(message):
+        if len(message) > TRANSCRIPT_MESSAGE_CHARS:
+            message = message[:TRANSCRIPT_MESSAGE_CHARS] + "…"
+        return message
+
+    provider = ExternalProvider("x")
+    room = TRANSCRIPT_MESSAGE_CHARS - len("-> ")
+    bodies = ["x" * 300_000, '{"type": "ready"}', "y" * room, "z" * (room + 1)]
+    for body in bodies:
+        provider._note("-> ", body)
+    assert provider.transcript == [old_formula(f"-> {body}") for body in bodies]
+    assert provider.transcript[0].endswith("…") and provider.transcript[3].endswith("…")
+    assert provider.transcript[1] == '-> {"type": "ready"}'
+
+
+def test_propose_line_is_exact_when_the_history_does_not_extend_the_last(tmp_path):
+    log = tmp_path / "requests.ndjson"
+    provider = ExternalProvider(
+        "x",
+        command=[sys.executable, str(AGENTS / "recording_agent.py"), str(log), "C"],
+        timeout=20,
+    )
+    e1 = {"meta_round": 1, "my_source": "naïve ☕", "my_actions": ["C"]}
+    e2 = {"meta_round": 2, "my_source": ALLC, "opponent_total": 3}
+    histories = [
+        [],
+        [e1],
+        [e1, e2],
+        [dict(e1), dict(e2)],  # a new list of equal new entries
+        [e1, {"meta_round": 2, "my_source": ALLD}],  # a replaced entry
+        [e1],  # a shorter history
+        [e2, e1],  # the same entries, reordered
+        [e2, e1, e2],
+    ]
+    contexts = [ctx(k, h, prev=ALLD if k % 2 else None) for k, h in enumerate(histories, 1)]
+    provider.start("ipd")
+    try:
+        for c in contexts:
+            provider.propose(c)
+    finally:
+        provider.close()
+    lines = log.read_text(encoding="utf-8").splitlines()[1:-1]
+    assert lines == [
+        json.dumps(
+            {
+                "type": "propose",
+                "meta_round": c.meta_round,
+                "history": c.history,
+                "opponent_previous_source": c.opponent_previous_source,
+            },
+            sort_keys=True,
+        )
+        for c in contexts
+    ]
 
 
 def test_external_provider_handshake_failure():
