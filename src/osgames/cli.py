@@ -296,7 +296,7 @@ def cmd_transform(args) -> int:
         if args.kind == "strip":
             out_text = strip_comments(src).text
         else:
-            tree = parse_source(strip_comments(src))
+            tree = parse_source(src)
             if args.kind == "mask":
                 renamed, _ = mask(tree)
             else:

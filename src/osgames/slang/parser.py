@@ -82,77 +82,55 @@ def _decode_string(token: Token) -> str:
 
 
 class _Parser:
+    """Keeps the current token in `tok` and the one before it in `prev`.
+
+    A keyword, operator or delimiter is known by its lexeme alone: no token
+    of another kind has the same lexeme.  Past the last token stands `eof`,
+    at the end-of-input span, whose empty lexeme and line 0 match no test.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = [t for t in tokens if t.kind is not TokenKind.COMMENT]
+        end = self.tokens[-1].span.end if self.tokens else 0
+        self.eof = Token(None, "", Span(end, end), 0)
+        self.tokens.append(self.eof)
         self.pos = 0
+        self.tok = self.tokens[0]
+        self.prev: Token | None = None
         self.group_depth = 0  # open ( or [ within the current expression
         self.expr_depth = 0
         self.block_depth = 0
+        self.height = 0  # of the expression parsed last
+        self.deepest = 1  # tree depth so far; a function is at depth 1
 
     # -- token plumbing ----------------------------------------------------
 
-    def _peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _prev(self) -> Token | None:
-        return self.tokens[self.pos - 1] if self.pos > 0 else None
-
-    def _eof_span(self) -> Span:
-        if self.tokens:
-            end = self.tokens[-1].span.end
-            return Span(end, end)
-        return Span(0, 0)
-
-    def _here(self) -> Span:
-        tok = self._peek()
-        return tok.span if tok else self._eof_span()
-
     def _error(self, message: str, expected: tuple[str, ...] = ()):
-        raise ParseError(message, self._here(), expected)
+        raise ParseError(message, self.tok.span, expected)
 
     def _advance(self) -> Token:
-        tok = self._peek()
-        if tok is None:
-            self._error("unexpected end of input")
+        """Consume the current token, never the sentinel, and return it."""
+        tok = self.prev = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
-    def _check(self, kind: TokenKind, lexeme: str | None = None) -> bool:
-        tok = self._peek()
-        if tok is None or tok.kind is not kind:
-            return False
-        return lexeme is None or tok.lexeme == lexeme
-
-    def _match(self, kind: TokenKind, lexeme: str | None = None) -> Token | None:
-        if self._check(kind, lexeme):
-            return self._advance()
-        return None
-
-    def _expect(self, kind: TokenKind, lexeme: str, what: str) -> Token:
-        tok = self._match(kind, lexeme)
-        if tok is None:
+    def _expect(self, lexeme: str, what: str) -> Token:
+        if self.tok.lexeme != lexeme:
             self._error(f"expected {what}", expected=(lexeme,))
-        return tok
+        return self._advance()
 
     def _expect_ident(self, what: str) -> Token:
-        tok = self._match(TokenKind.IDENT)
-        if tok is None:
+        if self.tok.kind is not TokenKind.IDENT:
             self._error(f"expected {what}", expected=("identifier",))
-        return tok
-
-    def _same_line(self) -> bool:
-        """May the next token extend the current expression?"""
-        if self.group_depth > 0:
-            return True
-        tok, prev = self._peek(), self._prev()
-        return tok is not None and prev is not None and tok.line == prev.line
+        return self._advance()
 
     # -- program structure ---------------------------------------------------
 
     def parse_program(self) -> n.Program:
         defs: list[n.FuncDef] = []
         names: set[str] = set()
-        while self._peek() is not None:
+        while self.tok is not self.eof:
             d = self._definition()
             if d.name in names:
                 raise ParseError(f"duplicate function name '{d.name}'", d.name_span)
@@ -160,49 +138,46 @@ class _Parser:
             defs.append(d)
         if n.ENTRY_POINT not in names:
             raise ParseError(
-                "missing strategy definition", self._eof_span(), expected=("fn",)
+                "missing strategy definition", self.eof.span, expected=("fn",)
             )
-        span = Span(0, self._eof_span().end)
-        program = n.Program(tuple(defs), span=span)
-        if n.tree_depth(program) > MAX_TREE_DEPTH:
+        span = Span(0, self.eof.span.end)
+        if self.deepest > MAX_TREE_DEPTH:
             raise ParseError("program nested too deeply", span)
-        return program
+        return n.Program(tuple(defs), span=span)
 
     def _definition(self) -> n.FuncDef:
-        start = self._here()
-        if not self._match(TokenKind.KEYWORD, "fn"):
-            self._error("expected function definition", expected=("fn",))
+        start = self._expect("fn", "function definition").span.start
         name_tok = self._expect_ident("function name")
-        self._expect(TokenKind.DELIM, "(", "'(' after function name")
+        self._expect("(", "'(' after function name")
         params: list[str] = []
         param_spans: list[Span] = []
-        if not self._check(TokenKind.DELIM, ")"):
+        if self.tok.lexeme != ")":
             while True:
                 p = self._expect_ident("parameter name")
                 params.append(p.lexeme)
                 param_spans.append(p.span)
-                if not self._match(TokenKind.DELIM, ","):
+                if self.tok.lexeme != ",":
                     break
-        self._expect(TokenKind.DELIM, ")", "')' after parameters")
+                self._advance()
+        self._expect(")", "')' after parameters")
         body = self._block()
-        end = self._prev().span.end
         return n.FuncDef(
             name_tok.lexeme,
             tuple(params),
             body,
-            span=Span(start.start, end),
+            span=Span(start, self.prev.span.end),
             name_span=name_tok.span,
             param_spans=tuple(param_spans),
         )
 
     def _block(self) -> n.Block:
-        open_tok = self._expect(TokenKind.DELIM, "{", "'{' to open a block")
+        open_tok = self._expect("{", "'{' to open a block")
         self.block_depth += 1
         if self.block_depth > MAX_BLOCK_NESTING:
             raise ParseError("blocks nested too deeply", open_tok.span)
         stmts: list[n.Stmt] = []
-        while not self._check(TokenKind.DELIM, "}"):
-            if self._peek() is None:
+        while self.tok.lexeme != "}":
+            if self.tok is self.eof:
                 self._error("unclosed block", expected=("}",))
             stmts.append(self._statement())
         self._advance()  # consume '}'
@@ -212,45 +187,30 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def _statement(self) -> n.Stmt:
-        tok = self._peek()
-        assert tok is not None
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.lexeme == "let":
-                return self._let()
-            if tok.lexeme == "if":
-                return self._if()
-            if tok.lexeme == "while":
-                return self._while()
-            if tok.lexeme == "for":
-                return self._for()
-            if tok.lexeme == "return":
-                return self._return()
-        if tok.kind is TokenKind.IDENT and self._is_assign_ahead():
+        tok = self.tok
+        if tok.lexeme in ("let", "if", "while", "for", "return"):
+            return getattr(self, "_" + tok.lexeme)()  # _let, _if, ...
+        if tok.kind is TokenKind.IDENT and self.tokens[self.pos + 1].lexeme == "=":
             return self._assign()
-        start = tok.span.start
         expr = self._expression()
-        return n.ExprStmt(expr, span=Span(start, self._prev().span.end))
-
-    def _is_assign_ahead(self) -> bool:
-        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        return nxt is not None and nxt.kind is TokenKind.OP and nxt.lexeme == "="
+        return n.ExprStmt(expr, span=Span(tok.span.start, self.prev.span.end))
 
     def _let(self) -> n.Let:
         start = self._advance().span.start
         name = self._expect_ident("variable name after 'let'")
-        self._expect(TokenKind.OP, "=", "'=' in let statement")
+        self._expect("=", "'=' in let statement")
         value = self._expression()
         return n.Let(
-            name.lexeme, value, span=Span(start, self._prev().span.end),
+            name.lexeme, value, span=Span(start, self.prev.span.end),
             name_span=name.span,
         )
 
     def _assign(self) -> n.Assign:
         name = self._advance()
-        self._expect(TokenKind.OP, "=", "'=' in assignment")
+        self._expect("=", "'=' in assignment")
         value = self._expression()
         return n.Assign(
-            name.lexeme, value, span=Span(name.span.start, self._prev().span.end),
+            name.lexeme, value, span=Span(name.span.start, self.prev.span.end),
             name_span=name.span,
         )
 
@@ -258,182 +218,194 @@ class _Parser:
         start = self._advance().span.start
         arms = [(self._expression(), self._block())]
         orelse: n.Block | None = None
-        while self._check(TokenKind.KEYWORD, "elif"):
+        while self.tok.lexeme == "elif":
             self._advance()
             arms.append((self._expression(), self._block()))
-        if self._match(TokenKind.KEYWORD, "else"):
+        if self.tok.lexeme == "else":
+            self._advance()
             orelse = self._block()
-        return n.If(tuple(arms), orelse, span=Span(start, self._prev().span.end))
+        return n.If(tuple(arms), orelse, span=Span(start, self.prev.span.end))
 
     def _while(self) -> n.While:
         start = self._advance().span.start
         cond = self._expression()
         body = self._block()
-        return n.While(cond, body, span=Span(start, self._prev().span.end))
+        return n.While(cond, body, span=Span(start, self.prev.span.end))
 
     def _for(self) -> n.For:
         start = self._advance().span.start
         var = self._expect_ident("loop variable after 'for'")
-        self._expect(TokenKind.KEYWORD, "in", "'in' in for statement")
+        self._expect("in", "'in' in for statement")
         iterable = self._expression()
         body = self._block()
         return n.For(
-            var.lexeme, iterable, body, span=Span(start, self._prev().span.end),
+            var.lexeme, iterable, body, span=Span(start, self.prev.span.end),
             var_span=var.span,
         )
 
     def _return(self) -> n.Return:
         ret = self._advance()
-        nxt = self._peek()
-        if (
-            nxt is None
-            or nxt.line != ret.line
-            or (nxt.kind is TokenKind.DELIM and nxt.lexeme in ")}],")
-        ):
+        if self.tok.line != ret.line or self.tok.lexeme in (")", "}", "]", ","):
             raise ParseError(
-                "return requires an expression", Span(ret.span.start, ret.span.end),
-                expected=("expression",),
+                "return requires an expression", ret.span, expected=("expression",)
             )
         value = self._expression()
-        return n.Return(value, span=Span(ret.span.start, self._prev().span.end))
+        return n.Return(value, span=Span(ret.span.start, self.prev.span.end))
 
     # -- expressions -----------------------------------------------------------
 
     def _expression(self) -> n.Expr:
+        """An expression; a statement's expression also records the tree depth.
+
+        Each expression parser leaves the height of what it built in
+        `height`.  A statement inside b open blocks sits at depth b + 1, so
+        the deepest node of its expression is at b + 1 + that height.
+        """
         self.expr_depth += 1
         if self.expr_depth > MAX_EXPR_NESTING:
-            raise ParseError("expression nested too deeply", self._here())
-        try:
-            return self._binary(1)
-        finally:
-            self.expr_depth -= 1
+            raise ParseError("expression nested too deeply", self.tok.span)
+        expr = self._binary(1)
+        self.expr_depth -= 1
+        if not self.expr_depth:
+            self.deepest = max(self.deepest, self.block_depth + 1 + self.height)
+        return expr
 
     def _binary(self, floor: int) -> n.Expr:
         """Parse the operators that bind at `floor` or tighter.
 
-        At `not` level and below, an operand takes every operator that binds
-        at `not` or tighter, so the loop only joins `and`/`or`; after one
-        comparison, no further comparison joins (they do not chain).
+        At `not` level and below, a `not` takes as its operand every operator
+        that binds tighter than `not`, so the loop after it only joins
+        `and`/`or`; after one comparison, no further comparison joins (they
+        do not chain).
         """
-        if floor <= NOT_PREC:
-            prefixes = self._prefixes("not")
+        prefix = "not" if floor <= NOT_PREC and self.tok.lexeme == "not" else "-"
+        prefixes: list[Token] = []
+        while self.tok.lexeme == prefix:
+            prefixes.append(self._advance())
+            if len(prefixes) > MAX_EXPR_NESTING:
+                raise ParseError("expression nested too deeply", self.prev.span)
+        if prefix == "not":
             left = self._binary(COMPARISON_PREC)
             ceiling = NOT_PREC - 1
         else:
-            prefixes = self._prefixes("-")
-            left = self._postfix()
+            left = self._operand()
             ceiling = NEG_PREC
+        height = self.height
         for tok in reversed(prefixes):
             left = n.Unary(tok.lexeme, left, span=Span(tok.span.start, left.span.end))
-        while self._same_line():
-            tok = self._peek()
-            prec = BINARY_PREC.get(tok.lexeme, 0) if tok is not None else 0
+            height += 1
+        # an operator may continue the expression inside an open ( or [
+        # group, or on the line of the token before it
+        while self.group_depth or self.tok.line == self.prev.line:
+            tok = self.tok
+            prec = BINARY_PREC.get(tok.lexeme, 0)
             if not floor <= prec <= ceiling:
                 break
             self._advance()
             right = self._binary(prec + 1)
+            height = max(height, self.height) + 1
             left = n.Binary(
                 tok.lexeme, left, right, span=Span(left.span.start, right.span.end)
             )
             if prec == COMPARISON_PREC:
                 ceiling = prec - 1
+        self.height = height
         return left
 
-    def _prefixes(self, op: str) -> list[Token]:
-        """Consume a run of the prefix operator `op` (`not` or `-`)."""
-        prefixes: list[Token] = []
-        while (tok := self._peek()) is not None and tok.lexeme == op:
-            prefixes.append(self._advance())
-            if len(prefixes) > MAX_EXPR_NESTING:
-                raise ParseError("expression nested too deeply", tok.span)
-        return prefixes
-
-    def _postfix(self) -> n.Expr:
-        expr = self._primary()
-        while self._same_line():
-            if self._check(TokenKind.DELIM, "("):
+    def _operand(self) -> n.Expr:
+        """A primary expression, then the calls and indexes that follow it."""
+        tok = self.tok
+        kind = tok.kind
+        lexeme = tok.lexeme
+        height = 1
+        if kind is TokenKind.IDENT:
+            expr = n.Var(lexeme, span=tok.span)
+            self._advance()
+        elif kind is TokenKind.INT:
+            if len(lexeme) > MAX_INT_DIGITS:
+                self._error(f"integer literal longer than {MAX_INT_DIGITS} digits")
+            expr = n.IntLit(int(lexeme), span=tok.span)
+            self._advance()
+        elif kind is TokenKind.STRING:
+            expr = n.StrLit(_decode_string(tok), span=tok.span)
+            self._advance()
+        elif lexeme in ("true", "false"):
+            expr = n.BoolLit(lexeme == "true", span=tok.span)
+            self._advance()
+        elif lexeme == "[":
+            items = self._items("]", "']' to close the list")
+            height = self.height + 1
+            expr = n.ListLit(items, span=Span(tok.span.start, self.prev.span.end))
+        elif lexeme == "(":
+            expr = self._paren_or_pair()
+            height = self.height
+        elif tok is self.eof:
+            self._error("expected expression", expected=("expression",))
+        else:
+            self._error(
+                f"expected expression, found {lexeme!r}", expected=("expression",)
+            )
+        while self.group_depth or self.tok.line == self.prev.line:  # as in _binary
+            if self.tok.lexeme == "(":
                 if not isinstance(expr, n.Var):
-                    raise ParseError(
-                        "only named functions can be called", self._here()
-                    )
-                self._advance()
-                self.group_depth += 1
-                args: list[n.Expr] = []
-                if not self._check(TokenKind.DELIM, ")"):
-                    while True:
-                        args.append(self._expression())
-                        if not self._match(TokenKind.DELIM, ","):
-                            break
-                self.group_depth -= 1
-                close = self._expect(TokenKind.DELIM, ")", "')' to close the call")
+                    self._error("only named functions can be called")
+                args = self._items(")", "')' to close the call")
+                height = self.height + 1
                 expr = n.Call(
-                    expr.name, tuple(args),
-                    span=Span(expr.span.start, close.span.end),
+                    expr.name, args,
+                    span=Span(expr.span.start, self.prev.span.end),
                     name_span=expr.span,
                 )
-            elif self._check(TokenKind.DELIM, "["):
+            elif self.tok.lexeme == "[":
                 self._advance()
                 self.group_depth += 1
                 index = self._expression()
                 self.group_depth -= 1
-                close = self._expect(TokenKind.DELIM, "]", "']' to close the index")
+                close = self._expect("]", "']' to close the index")
+                height = max(height, self.height) + 1
                 expr = n.Index(expr, index, span=Span(expr.span.start, close.span.end))
             else:
                 break
+        self.height = height
         return expr
 
-    def _primary(self) -> n.Expr:
-        tok = self._peek()
-        if tok is None:
-            self._error("expected expression", expected=("expression",))
-        if tok.kind is TokenKind.INT:
-            if len(tok.lexeme) > MAX_INT_DIGITS:
-                self._error(f"integer literal longer than {MAX_INT_DIGITS} digits")
-            self._advance()
-            return n.IntLit(int(tok.lexeme), span=tok.span)
-        if tok.kind is TokenKind.STRING:
-            self._advance()
-            return n.StrLit(_decode_string(tok), span=tok.span)
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme in ("true", "false"):
-            self._advance()
-            return n.BoolLit(tok.lexeme == "true", span=tok.span)
-        if tok.kind is TokenKind.IDENT:
-            self._advance()
-            return n.Var(tok.lexeme, span=tok.span)
-        if tok.kind is TokenKind.DELIM and tok.lexeme == "[":
-            return self._list_literal()
-        if tok.kind is TokenKind.DELIM and tok.lexeme == "(":
-            return self._paren_or_pair()
-        self._error(
-            f"expected expression, found {tok.lexeme!r}", expected=("expression",)
-        )
+    def _items(self, close: str, what: str) -> tuple[n.Expr, ...]:
+        """Comma-separated expressions between the current token and `close`.
 
-    def _list_literal(self) -> n.ListLit:
-        open_tok = self._advance()
+        Leaves the tallest item's height (0 for none) in `height`.
+        """
+        self._advance()
         self.group_depth += 1
         items: list[n.Expr] = []
-        if not self._check(TokenKind.DELIM, "]"):
+        tallest = 0
+        if self.tok.lexeme != close:
             while True:
                 items.append(self._expression())
-                if not self._match(TokenKind.DELIM, ","):
+                tallest = max(tallest, self.height)
+                if self.tok.lexeme != ",":
                     break
+                self._advance()
         self.group_depth -= 1
-        close = self._expect(TokenKind.DELIM, "]", "']' to close the list")
-        return n.ListLit(tuple(items), span=Span(open_tok.span.start, close.span.end))
+        self._expect(close, what)
+        self.height = tallest
+        return tuple(items)
 
     def _paren_or_pair(self) -> n.Expr:
         open_tok = self._advance()
         self.group_depth += 1
         first = self._expression()
-        if self._match(TokenKind.DELIM, ","):
+        if self.tok.lexeme == ",":
+            height = self.height
+            self._advance()
             second = self._expression()
             self.group_depth -= 1
-            close = self._expect(TokenKind.DELIM, ")", "')' to close the pair")
+            close = self._expect(")", "')' to close the pair")
+            self.height = max(height, self.height) + 1
             return n.PairLit(
                 first, second, span=Span(open_tok.span.start, close.span.end)
             )
         self.group_depth -= 1
-        self._expect(TokenKind.DELIM, ")", "')' to close the group")
+        self._expect(")", "')' to close the group")
         return first
 
 

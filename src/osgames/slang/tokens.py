@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 #: Hard cap on accepted program size (bytes of UTF-8).
 MAX_SOURCE_BYTES = 64 * 1024
@@ -33,8 +34,9 @@ class TokenKind(Enum):
     COMMENT = "comment"
 
 
-@dataclass(frozen=True)
-class Span:
+# Spans and tokens are named tuples: cheap to build, and each equals the
+# plain tuple of its fields.
+class Span(NamedTuple):
     start: int
     end: int
 
@@ -48,8 +50,7 @@ class SourceText:
     origin: str = "<memory>"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     span: Span
@@ -77,9 +78,13 @@ def line_col(text: str, offset: int) -> tuple[int, int]:
 #: a quote, backslash or newline, or a backslash and any one character (the
 #: parser decides which escapes are legal); an unterminated string runs to
 #: the newline or the end of the text, a final lone backslash included;
-#: two-character operators come before their one-character prefixes.
+#: two-character operators come before their one-character prefixes.  The
+#: blanks before a token are skipped within its match, so a token is its
+#: group, not the whole match; BLANK matches only blanks that end the text.
 _TOKEN = re.compile(
     r"""
+    [ \t\r]*
+    (?:
       (?P<NEWLINE>\n)
     | (?P<BLANK>[ \t\r]+)
     | (?P<COMMENT>\#[^\n]*)
@@ -90,15 +95,30 @@ _TOKEN = re.compile(
     | (?P<OP>[=!<>]=|[-+*/%<>=])
     | (?P<DELIM>[(){}\[\],])
     | (?P<ILLEGAL>[\s\S])
+    )
     """,
     re.VERBOSE,
 )
+_NEWLINE = _TOKEN.groupindex["NEWLINE"]
+#: TokenKind of each group, by group number; None where no token is made.
+_KINDS = [None] + [
+    TokenKind.__members__.get(name)
+    for name in sorted(_TOKEN.groupindex, key=_TOKEN.groupindex.get)
+]
+#: Builds a Span or Token from a tuple of its fields, skipping `__new__`.
+_new = tuple.__new__
 
 
 def tokenize(src: SourceText | str, max_bytes: int = MAX_SOURCE_BYTES) -> list[Token]:
     """Tokenize SLANG source, raising LexError on the first problem."""
     text = src.text if isinstance(src, SourceText) else src
-    if len(text.encode("utf-8")) > max_bytes:
+    try:
+        size = len(text.encode("utf-8"))
+    except UnicodeEncodeError as exc:  # a lone surrogate is not Unicode text
+        raise LexError(
+            f"lone surrogate {text[exc.start]!r}", Span(exc.start, exc.start + 1)
+        ) from None
+    if size > max_bytes:
         raise LexError(
             f"source exceeds the {max_bytes} byte cap", Span(0, len(text))
         )
@@ -106,19 +126,19 @@ def tokenize(src: SourceText | str, max_bytes: int = MAX_SOURCE_BYTES) -> list[T
     tokens: list[Token] = []
     line = 1
     for m in _TOKEN.finditer(text):
-        group = m.lastgroup
-        if group == "BLANK":
+        group = m.lastindex
+        kind = _KINDS[group]
+        if kind is None:
+            if group == _NEWLINE:
+                line += 1
+            elif m.lastgroup != "BLANK":
+                span = Span(*m.span(group))
+                if m.lastgroup == "UNTERMINATED":
+                    raise LexError("unterminated string", span)
+                raise LexError(f"illegal character {m.group(group)!r}", span)
             continue
-        if group == "NEWLINE":
-            line += 1
-            continue
-        span = Span(*m.span())
-        if group == "UNTERMINATED":
-            raise LexError("unterminated string", span)
-        lexeme = m.group()
-        if group == "ILLEGAL":
-            raise LexError(f"illegal character {lexeme!r}", span)
-        if group == "IDENT" and lexeme in KEYWORDS:
-            group = "KEYWORD"
-        tokens.append(Token(TokenKind[group], lexeme, span, line))
+        lexeme = m.group(group)
+        if kind is TokenKind.IDENT and lexeme in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        tokens.append(_new(Token, (kind, lexeme, _new(Span, m.span(group)), line)))
     return tokens

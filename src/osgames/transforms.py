@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from ._stack import stack_headroom
 from .rng import SplitMix64
 from .slang import nodes as n
-from .slang.tokens import SourceText, Token, TokenKind, tokenize
+from .slang.tokens import SourceText, TokenKind, tokenize
 from .slang.validator import RESERVED_NAMES
 
 GLOBAL_SCOPE = "<global>"
@@ -48,11 +48,15 @@ def strip_comments(src: SourceText | str) -> SourceText:
     """Remove comment tokens; every other token survives unchanged."""
     if not isinstance(src, SourceText):
         src = SourceText(src)
-    comments = [t for t in tokenize(src) if t.kind is TokenKind.COMMENT]
     text = src.text
-    for tok in reversed(comments):
-        text = text[: tok.span.start] + text[tok.span.end :]
-    return SourceText(text, origin=src.origin)
+    kept: list[str] = []  # the gaps between comments
+    at = 0
+    for tok in tokenize(src):
+        if tok.kind is TokenKind.COMMENT:
+            kept.append(text[at : tok.span.start])
+            at = tok.span.end
+    kept.append(text[at:])
+    return SourceText("".join(kept), origin=src.origin)
 
 
 def _fresh_obfuscated(rng: SplitMix64, used: set[str]) -> str:

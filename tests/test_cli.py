@@ -8,7 +8,7 @@ import pytest
 
 from osgames import _pool, evolution
 from osgames.cli import _match_config, build_parser, main
-from osgames.fixtures import corpus_path, ipd_corpus_dir
+from osgames.fixtures import corpus_dir, corpus_path, ipd_corpus_dir
 
 TFT = str(corpus_path("ipd/tft.slang"))
 ALLC = str(corpus_path("ipd/allc.slang"))
@@ -256,6 +256,45 @@ def test_transform_strip_mask_obfuscate(tmp_path, capsys):
     out_file = tmp_path / "masked.slang"
     code, _, _ = run(["transform", "mask", str(src), "--out", str(out_file)], capsys)
     assert code == 0 and out_file.exists()
+
+
+def test_transform_output_ignores_comments(tmp_path, capsys):
+    # mask and obfuscate parse the file as it is, comments and all; their
+    # output is that of the stripped file
+    for path in sorted(corpus_dir().glob("*/*.slang")):
+        stripped = tmp_path / path.name
+        code, out, _ = run(["transform", "strip", str(path)], capsys)
+        assert code == 0
+        stripped.write_text(out, encoding="utf-8")
+        for args in (["mask"], ["obfuscate", "--seed", "5"]):
+            direct = run(["transform", args[0], str(path), *args[1:]], capsys)
+            via_strip = run(["transform", args[0], str(stripped), *args[1:]], capsys)
+            assert direct == via_strip and direct[0] == 0, path.name
+
+
+@pytest.mark.parametrize(
+    "text, message, kinds",
+    [
+        (
+            'fn strategy() {\n  # note\n  return "C" $ 1\n}\n',
+            "illegal character '$'",
+            ("strip", "mask", "obfuscate"),
+        ),
+        (
+            "# top\nfn strategy() {\n  # inner\n  return (1 +\n}\n",
+            "expected expression, found '}'",
+            ("mask", "obfuscate"),
+        ),
+    ],
+    ids=["lex-error", "parse-error"],
+)
+def test_transform_error_text(tmp_path, capsys, text, message, kinds):
+    path = tmp_path / "bad.slang"
+    path.write_text(text, encoding="utf-8")
+    for kind in kinds:
+        assert run(["transform", kind, str(path)], capsys) == (
+            2, "", f"error: {path}: {message}\n"
+        )
 
 
 def test_tournament_table(tmp_path, capsys):

@@ -330,3 +330,24 @@ def test_bad_numeral_in_meta_round_two_is_a_recorded_provider_fault(literal):
     assert fault.startswith("a: a@r2:2:")
     assert fault.endswith("; reusing previous source")
     assert record.rounds[1].sources[0] == ALLC
+
+
+def test_lone_surrogate_in_meta_round_two_is_a_recorded_provider_fault():
+    # the agent sends "\ud800" as a JSON escape; json.loads turns it into a
+    # lone surrogate, which the lexer rejects at its offset
+    agent = ExternalProvider(
+        "a", command=[sys.executable, str(AGENTS / "surrogate_agent.py")], timeout=20
+    )
+    record = run_meta_game(
+        agent,
+        StaticProvider("b", source=ALLC),
+        meta_rounds=3,
+        cfg=MatchConfig(rounds=6, seed=0),
+    )
+    assert record.rounds[0].provider_faults == ()
+    assert record.rounds[1].provider_faults == (
+        "a: a@r2:1:3: lone surrogate '\\ud800'; reusing previous source",
+    )
+    assert record.rounds[1].sources[0] == ALLC
+    assert record.rounds[2].provider_faults == ()
+    canonical_json_bytes(record.to_json_dict())  # the record stays writable

@@ -4,9 +4,9 @@ import pytest
 
 from osgames.fixtures import load_corpus_sources
 from osgames.program import ProgramError, load_program
-from osgames.slang import ParseError, parse_source
+from osgames.slang import ParseError, Span, parse_source
 from osgames.slang import nodes as n
-from osgames.slang.parser import MAX_INT_DIGITS
+from osgames.slang.parser import MAX_INT_DIGITS, MAX_TREE_DEPTH
 
 TFT = """fn strategy() {
     if len(my_history) == 0 {
@@ -173,6 +173,39 @@ def test_adversarial_nesting_rejected_cleanly():
         with pytest.raises(ParseError) as exc:
             parse_source(src)
         assert "deep" in exc.value.message
+
+
+@pytest.mark.parametrize("blocks", [0, 7, 60])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda k: " + ".join(["x"] * (k + 1)),
+        lambda k: "x" + "[0]" * k,
+        lambda k: "f(" * k + "x" + ")" * k,
+        lambda k: "[" * k + "x" + "]" * k,
+        lambda k: "-" * k + "x",
+    ],
+    ids=["chain", "index", "call", "list", "neg"],
+)
+def test_tree_depth_cap_matches_tree_depth(shape, blocks):
+    # The parser counts depth as it goes; n.tree_depth walks the finished
+    # tree.  The deepest accepted program must sit exactly at the cap.
+    def program(k, tail=""):
+        body = "if x {\n" * blocks + f"return {shape(k)}\n" + "}\n" * blocks
+        return f"fn f(x) {{\n{body}}}\nfn strategy() {{ return 1{tail} }}\n"
+
+    # the function, its ifs and the return take 2 + blocks levels, and the
+    # returned expression is k + 1 high
+    k = MAX_TREE_DEPTH - 3 - blocks
+    assert n.tree_depth(parse_source(program(k))) == MAX_TREE_DEPTH
+    text = program(k + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert exc.value.message == "program nested too deeply"
+    assert exc.value.span == Span(0, len(text.rstrip()))
+    with pytest.raises(ParseError) as exc:  # a later syntax error comes first
+        parse_source(program(k + 1, tail=" +"))
+    assert exc.value.message == "expected expression, found '}'"
 
 
 def test_reasonable_nesting_accepted():

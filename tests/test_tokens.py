@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from osgames.fixtures import load_corpus_sources
-from osgames.slang import LexError, SourceText, TokenKind, tokenize
+from osgames.program import ProgramError, load_program
+from osgames.slang import LexError, SourceText, Span, TokenKind, tokenize
 
 
 def kinds(text):
@@ -83,6 +84,17 @@ def test_illegal_character():
     with pytest.raises(LexError) as exc:
         tokenize("let x = 1 @ 2")
     assert exc.value.span.start == 10
+
+
+def test_lone_surrogate_is_a_located_lex_error():
+    # such text cannot be encoded as UTF-8, so it is not Unicode source text
+    text = 'fn strategy(a,b,c,d,e) { return "C" } # \ud800'
+    with pytest.raises(LexError) as exc:
+        tokenize(text)
+    assert exc.value.message == "lone surrogate '\\ud800'"
+    assert exc.value.span == Span(40, 41)
+    with pytest.raises(ProgramError, match=r"^<memory>:1:41: lone surrogate"):
+        load_program(text)
 
 
 def test_source_cap():

@@ -9,6 +9,7 @@ from osgames.metrics import collect
 from osgames.program import load_program
 from osgames.rng import SplitMix64, derive_seed
 from osgames.slang import TokenKind, parse_source, render, tokenize, validate
+from osgames.slang.tokens import MAX_SOURCE_BYTES
 from osgames.transforms import GLOBAL_SCOPE, mask, obfuscate, strip_comments
 
 COMMENTED = """# leading comment
@@ -52,6 +53,24 @@ def test_strip_over_corpus():
     for name, src in load_corpus_sources("ipd"):
         stripped = strip_comments(src)
         assert non_comment_stream(stripped.text) == non_comment_stream(src.text), name
+
+
+def _cut_each_comment_out(text):
+    """strip_comments' former formula: rebuild the text once per comment."""
+    for tok in reversed([t for t in tokenize(text) if t.kind is TokenKind.COMMENT]):
+        text = text[: tok.span.start] + text[tok.span.end :]
+    return text
+
+
+def test_strip_output_unchanged():
+    for subdir in ("ipd", "coin", "equilibrium"):
+        for name, src in load_corpus_sources(subdir):
+            assert strip_comments(src).text == _cut_each_comment_out(src.text), name
+    # 64 KiB of comment lines, which the former formula copied 32,000 times
+    code = "fn strategy() { return 1 }\n"
+    big = code + "#\n" * 32_000
+    assert len(big.encode()) <= MAX_SOURCE_BYTES
+    assert strip_comments(big).text == code + "\n" * 32_000
 
 
 def test_mask_renames_helpers_only():
