@@ -1,12 +1,13 @@
 """Match execution: one base-game match between two programs, plus the
 round-robin tournament used for payoff-matrix estimation.
 
-Both programs are evaluated each round against bindings that show the
-pre-round state (so neither action can depend on the other's same-round
-action) including the opponent's complete current source.  A runtime fault
-never aborts a match: the configured fallback action is substituted and the
-fault is logged in the record.  Everything is deterministic given the
-config seed; per-player, per-round rng streams are derived from it.
+Each player's moves come from a Policy, the one place where a move is
+evaluated or replayed; both see bindings that show the pre-round state (so
+neither action can depend on the other's same-round action) including the
+opponent's complete current source.  A runtime fault never aborts a match:
+the fallback action is substituted and the fault is logged in the record.
+Everything is deterministic given the config seed; per-player, per-round
+rng streams are derived from it.
 """
 
 from __future__ import annotations
@@ -179,55 +180,114 @@ def _require_valid(program: StrategyProgram, game: str, who: str) -> None:
         raise ProgramError(f"player {who} does not validate for {game}: {messages}")
 
 
-def _act(
-    node: list | None, program: StrategyProgram, env: Bindings, cfg: MatchConfig, player: str
-) -> tuple[str, FaultRecord | None]:
-    """The player's action this round and its fault, if any.
+#: Nodes one Memo may hold; past it, a history with no node is evaluated.
+TRIE_NODE_CAP = 1 << 17
 
-    With a history-trie node (round_robin's _HistoryTries) the result is
-    evaluated on the first visit and read from the node on every later one;
-    with None it is evaluated every time.
+#: A trie node's child slot for the joint actions of a round, (mine, theirs).
+_CHILD_SLOT = {"CC": 1, "CD": 2, "DC": 3, "DD": 4}
+
+
+class Memo:
+    """The history tries of the Policies made with it, and the room left
+    under TRIE_NODE_CAP; the round robin keeps one per share."""
+
+    def __init__(self):
+        self.roots: dict = {}
+        self.room = TRIE_NODE_CAP
+
+    def node(self) -> list | None:
+        if self.room <= 0:
+            return None
+        self.room -= 1
+        return [None, None, None, None, None]
+
+
+class Policy:
+    """What one program plays in one seat against one opponent: the one place
+    where a move is evaluated or replayed.  act(env) gives the action on the
+    bindings env, with a FaultRecord when a runtime fault made it cfg's
+    fallback; a program that can draw gets an rng stream per player and round.
+    advance(joint) moves past a round, given its own action then the
+    opponent's (env keeps the histories).
+
+    With a memo, a seed-free program evaluates each joint history once: its
+    result depends only on that history, its source, the opponent's source if
+    it reads opp_source, and the config except its seed.  Each such key has
+    one trie in the memo, whose node at depth r is a joint history of r
+    rounds in five slots: the result (the action, or (action, fault kind,
+    span, detail); None until evaluated) and a child per joint action of the
+    next round.
     """
-    r = env.round_index
-    result = None if node is None else node[0]
-    if result is None:
-        rng = None  # a program that cannot draw never touches its stream
-        if can_draw(program.tree):
-            rng = SplitMix64(derive_seed(cfg.seed, "eval", player, r))
-        try:
-            result, _ = evaluate(program.tree, env, cfg.budget, rng)
-        except RuntimeFault as fault:
-            span = (fault.span.start, fault.span.end)
-            result = (cfg.fallback_action, fault.kind.value, span, fault.detail)
+
+    __slots__ = ("tree", "cfg", "player", "draws", "memo", "node")
+
+    def __init__(self, program: StrategyProgram, opponent: StrategyProgram,
+                 cfg: MatchConfig, player: str, memo: Memo | None = None):
+        self.tree = program.tree
+        self.cfg = cfg
+        self.player = player
+        self.draws = can_draw(program.tree)
+        self.memo = memo
+        self.node = None  # this history's trie node; None to evaluate
+        if memo is not None and Policy.seed_free(program, cfg.game):
+            key = (program.text, opponent.text) if reads_opp_source(program.tree) else program.text
+            if memo.roots.get(key) is None:
+                memo.roots[key] = memo.node()
+            self.node = memo.roots[key]
+
+    @staticmethod
+    def seed_free(program: StrategyProgram, game: str) -> bool:
+        """Whether the program's actions in the game never depend on the seed."""
+        return game == GAME_IPD and not can_draw(program.tree)
+
+    def act(self, env: Bindings) -> tuple[str, FaultRecord | None]:
+        node = self.node
+        result = None if node is None else node[0]
+        if result is None:
+            cfg = self.cfg
+            rng = None  # a program that cannot draw never touches its stream
+            if self.draws:
+                rng = SplitMix64(derive_seed(cfg.seed, "eval", self.player, env.round_index))
+            try:
+                result, _ = evaluate(self.tree, env, cfg.budget, rng)
+            except RuntimeFault as fault:
+                span = (fault.span.start, fault.span.end)
+                result = (cfg.fallback_action, fault.kind.value, span, fault.detail)
+            if node is not None:
+                node[0] = result
+        if type(result) is str:
+            return result, None
+        action, kind, span, detail = result
+        return action, FaultRecord(self.player, env.round_index, kind, span, detail)
+
+    def advance(self, joint: str) -> None:
+        node = self.node
         if node is not None:
-            node[0] = result
-    if type(result) is str:
-        return result, None
-    action, kind, span, detail = result
-    return action, FaultRecord(player, r, kind, span, detail)
+            slot = _CHILD_SLOT[joint]
+            child = node[slot]
+            if child is None:
+                child = node[slot] = self.memo.node()
+            self.node = child
 
 
 def play_match(
     pa: StrategyProgram,
     pb: StrategyProgram,
     cfg: MatchConfig = MatchConfig(),
-    tries: _HistoryTries | None = None,
+    memo: Memo | None = None,
 ) -> MatchRecord:
     """Run one full match; faults become fallback actions plus log entries.
 
     Programs not already loaded for cfg.game (see StrategyProgram.game) are
     validated first.  One loop serves both games; only the step differs.
-    Each player has one binding for the whole match, over the match's own
-    history lists, which grow only after both players have moved.  With
-    tries (round_robin's _HistoryTries), a seed-free player's results are
-    read from and kept in its trie.
+    Each player has one Policy, and one binding over the match's own
+    history lists, which grow only after both players have moved.  With a
+    memo (see Policy), seed-free players replay what they did before.
     """
     _require_valid(pa, cfg.game, "A")
     _require_valid(pb, cfg.game, "B")
-    node_a = node_b = None
-    if tries is not None:
-        node_a = tries.root(pa, pb, cfg.game)
-        node_b = tries.root(pb, pa, cfg.game)
+    policy_a = Policy(pa, pb, cfg, "A", memo)
+    policy_b = Policy(pb, pa, cfg, "B", memo)
     state = None  # coin game board; None for the IPD
     if cfg.game == GAME_COIN:
         state = games.initial_coin_state(
@@ -248,8 +308,8 @@ def play_match(
             a, b, red, blue = state.pos_a, state.pos_b, state.coin_red, state.coin_blue
             env_a.coin_view = CoinView(a, b, red, blue, state.n)
             env_b.coin_view = CoinView(b, a, blue, red, state.n)
-        act_a, fault_a = _act(node_a, pa, env_a, cfg, "A")
-        act_b, fault_b = _act(node_b, pb, env_b, cfg, "B")
+        act_a, fault_a = policy_a.act(env_a)
+        act_b, fault_b = policy_b.act(env_b)
         faults.extend(f for f in (fault_a, fault_b) if f is not None)
         if state is None:
             da, db = games.ipd_payoff(act_a, act_b, cfg.payoffs)
@@ -260,9 +320,9 @@ def play_match(
         hist_a.append(act_a)
         hist_b.append(act_b)
         deltas.append((da, db))
-        if tries is not None and r < last:  # no node past the last round
-            node_a = tries.child(node_a, act_a + act_b)
-            node_b = tries.child(node_b, act_b + act_a)
+        if r < last:  # no history past the last round
+            policy_a.advance(act_a + act_b)
+            policy_b.advance(act_b + act_a)
     totals = (sum(d[0] for d in deltas), sum(d[1] for d in deltas))
     return MatchRecord(
         cfg,
@@ -315,78 +375,21 @@ class RoundRobinTable:
         }
 
 
-#: Nodes the history tries of one round-robin share may hold.  Past it they
-#: are only read: a history with no node yet is evaluated as in play_match.
-TRIE_NODE_CAP = 1 << 17
-
-#: A trie node's child slot for the joint actions of a round, (mine, theirs).
-_CHILD_SLOT = {"CC": 1, "CD": 2, "DC": 3, "DD": 4}
-
-
-def _seed_free(program: StrategyProgram, game: str) -> bool:
-    """Whether the program's actions in the game never depend on the seed."""
-    return game == GAME_IPD and not can_draw(program.tree)
-
-
-class _HistoryTries:
-    """What the seed-free programs of one round-robin share did on each
-    history.
-
-    Such a program's result in a round depends only on the joint history so
-    far, its own source, the opponent's source if it reads opp_source, and
-    the round robin's one config (the seed aside).  Each program source,
-    with the opponent's source if it reads it, has a trie, so two types of
-    identical text share one; a node at depth r is a joint history of r
-    rounds, kept as a list of five slots: the result there (the action, or
-    (action, fault kind, span, detail); None until evaluated) and one child
-    per joint action of the next round.
-    """
-
-    def __init__(self):
-        self.roots: dict = {}
-        self.room = TRIE_NODE_CAP
-
-    def _node(self) -> list | None:
-        if self.room <= 0:
-            return None
-        self.room -= 1
-        return [None, None, None, None, None]
-
-    def root(self, program: StrategyProgram, opponent: StrategyProgram, game: str) -> list | None:
-        """The program's node for the empty history, or None to evaluate."""
-        if not _seed_free(program, game):
-            return None
-        key = (program.text, opponent.text) if reads_opp_source(program.tree) else program.text
-        node = self.roots.get(key)
-        if node is None:
-            node = self.roots[key] = self._node()
-        return node
-
-    def child(self, node: list | None, joint: str) -> list | None:
-        if node is None:
-            return None
-        slot = _CHILD_SLOT[joint]
-        child = node[slot]
-        if child is None:
-            child = node[slot] = self._node()
-        return child
-
-
 def _play_share(
     texts: list[str], cfg: MatchConfig, pairings: list[tuple[int, int, list[int]]]
 ) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
     """One worker's share of a round robin: each pairing (i, j, seeds) with
     its match totals, a pair per seed (top level so worker pools can run it).
 
-    The programs are parsed from their texts once, and one set of history
-    tries serves every pairing of the share.
+    The programs are parsed from their texts once, and one Memo serves
+    every pairing of the share.
     """
     programs = [load_program(text, game=cfg.game) for text in texts]
-    tries = _HistoryTries()
+    memo = Memo()
     results = []
     for i, j, seeds in pairings:
         totals = tuple(
-            play_match(programs[i], programs[j], replace(cfg, seed=seed), tries).totals
+            play_match(programs[i], programs[j], replace(cfg, seed=seed), memo).totals
             for seed in seeds
         )
         results.append((i, j, totals))
@@ -415,13 +418,10 @@ def round_robin(
     coin-game pairing, whose board depends on the seed).
 
     Within the call, a seed-free program is also evaluated only once per
-    distinct history it meets, whoever the opponent: its results are kept
-    in history tries (_HistoryTries), keyed by the program's source and, if
-    it reads opp_source, the opponent's source.  Self-play shares one trie
-    between the seats.  Every match is played by play_match, and each share
-    keeps one set of tries for all of its pairings; they stop growing at
-    TRIE_NODE_CAP nodes per share and are dropped when the share ends, so
-    no work carries from one call to the next.  The table is the same as if
+    distinct history it meets, whoever the opponent (see Policy).  Every
+    match is played by play_match, and each share keeps one Memo for all of
+    its pairings, up to TRIE_NODE_CAP nodes; it is dropped when the share
+    ends, so no work carries from one call to the next.  The table is the same as if
     every round were evaluated, for any jobs.  Raises ArenaError for fewer
     than two types, or for repetitions or jobs below 1.
     """
@@ -436,7 +436,7 @@ def round_robin(
     for tag, program in entries:
         _require_valid(program, cfg.game, tag)
     n = len(programs)
-    seed_free = [_seed_free(p, cfg.game) for p in programs]
+    seed_free = [Policy.seed_free(p, cfg.game) for p in programs]
     seeds = {
         (i, j): [derive_seed(cfg.seed, "pair", i, j, rep) for rep in range(repetitions)]
         for i in range(n)

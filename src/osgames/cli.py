@@ -28,7 +28,7 @@ from . import __version__, evolution, labeling, metrics as metrics_mod
 from ._pool import pool_map
 from .arena import ArenaError, MatchConfig, play_match, round_robin
 from .metagame import MetaGameError, merge_judge_labels, run_meta_game
-from .program import ProgramError, load_program, load_program_file
+from .program import ProgramError, load_program, load_program_file, read_source_file
 from .providers import ProviderError, provider_from_spec
 from .rng import SplitMix64
 from .runio import atomic_write_json, atomic_write_text, write_manifest
@@ -78,6 +78,15 @@ def _payoffs_from(arg: str | None):
         raise CliError(f"bad --payoffs {arg!r}: {exc}") from exc
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file; CliError names the file if it cannot be
+    read or is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _checked(fn, *args, **kwargs):
     """fn(*args, **kwargs), with the ValueError of an out-of-range option
     value as a CliError."""
@@ -124,18 +133,12 @@ def cmd_match(args) -> int:
 def cmd_meta(args) -> int:
     if args.seeds < 1:
         raise CliError("seeds must be at least 1")
-    try:
-        spec = json.loads(Path(args.providers).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read providers config {args.providers}: {exc}") from exc
+    spec = _read_json(args.providers, "providers config")
     if not isinstance(spec, dict) or "a" not in spec or "b" not in spec:
         raise CliError("providers config must name providers 'a' and 'b'")
     sidecar = None
     if args.judge_labels:
-        try:
-            sidecar = json.loads(Path(args.judge_labels).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read judge labels: {exc}") from exc
+        sidecar = _read_json(args.judge_labels, "judge labels")
         if not isinstance(sidecar, list):
             raise CliError(f"judge labels {args.judge_labels} must be a list of entries")
     outdir = _out_path(args.out, "meta_run")
@@ -143,16 +146,10 @@ def cmd_meta(args) -> int:
     artifacts = []
     for i in range(args.seeds):
         seed = args.seed + i
-        try:
-            prov_a = provider_from_spec(spec["a"], "a")
-            prov_b = provider_from_spec(spec["b"], "b")
-        except (ProviderError, OSError) as exc:
-            raise CliError(str(exc)) from exc
+        prov_a = provider_from_spec(spec["a"], "a")
+        prov_b = provider_from_spec(spec["b"], "b")
         cfg = dataclasses.replace(base_cfg, seed=seed)
-        try:
-            record = run_meta_game(prov_a, prov_b, args.meta_rounds, cfg)
-        except (MetaGameError, ProviderError) as exc:
-            raise CliError(str(exc)) from exc
+        record = run_meta_game(prov_a, prov_b, args.meta_rounds, cfg)
         if sidecar is not None:
             try:
                 entries = [e for e in sidecar if "seed" not in e or int(e["seed"]) == seed]
@@ -241,28 +238,28 @@ def cmd_label(args) -> int:
 
 
 def _label_variants(args, corpus_dir: Path, files: list[Path]) -> int:
-    """`label --variants`: build_benchmark labels each loadable file once."""
-    corpus = []
+    """`label --variants`: each loadable file is loaded and labeled once."""
+    items, origins = [], []
     for path in files:
         try:
             program = load_program_file(path, game=GAME_IPD)
         except ProgramError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        corpus.append((path.stem, program.source))
-    items = labeling.build_benchmark(corpus, seed=args.seed, rounds=args.rounds)
+        items += labeling.benchmark_items(path.stem, program, args.seed, args.rounds)
+        origins.append(program.origin)
     outdir = _out_path(args.out, "benchmark")
     written = labeling.write_benchmark(items, outdir)
     write_manifest(
         outdir,
         "label",
         {"corpus": str(corpus_dir), "rounds": args.rounds, "seed": args.seed, "variants": True},
-        [source.origin for _, source in corpus],
+        origins,
         written,
         __version__,
     )
     print(f"benchmark: {outdir} ({len(written)} files)")
-    return EXIT_DOMAIN if len(corpus) < len(files) else EXIT_OK
+    return EXIT_DOMAIN if len(origins) < len(files) else EXIT_OK
 
 
 def cmd_metrics(args) -> int:
@@ -284,10 +281,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_transform(args) -> int:
     path = Path(args.program)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    text = read_source_file(path)
     from .slang import LexError, ParseError
     from .slang.tokens import SourceText
 
@@ -334,10 +328,10 @@ def _matrix_from_args(args, check):
     and check(size) on its number of types, which for programs runs before
     any match is played."""
     if args.matrix is not None:
+        obj = _read_json(args.matrix, "matrix file")
         try:
-            obj = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
             matrix = evolution.PayoffMatrix.from_json_dict(obj)
-        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        except ValueError as exc:
             raise CliError(f"bad matrix file {args.matrix}: {exc}") from exc
         return matrix, check(matrix.size)
     if not args.programs:
@@ -595,38 +589,35 @@ def _config_type_error(action: argparse.Action, value) -> str | None:
     return None if isinstance(value, str) else "a string"
 
 
+def _with_config(parser: argparse.ArgumentParser, args, argv: list[str]):
+    """args parsed again with the --config file's values as defaults."""
+    config = _read_json(args.config, "config")
+    if not isinstance(config, dict):
+        raise CliError(f"config {args.config} must be a JSON object")
+    subparser = args._registry[args.command]
+    actions = {a.dest: a for a in subparser._actions}
+    defaults = {}
+    for key, value in config.items():
+        dest = key.replace("-", "_")
+        if dest not in actions:
+            raise CliError(f"unknown config option {key!r}")
+        wanted = _config_type_error(actions[dest], value)
+        if wanted is not None:
+            raise CliError(f"config option {key!r} must be {wanted}")
+        defaults[dest] = value
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if not isinstance(config, dict):
-            print(f"error: config {config_path} must be a JSON object", file=sys.stderr)
-            return EXIT_USAGE
-        subparser = args._registry[args.command]
-        actions = {a.dest: a for a in subparser._actions}
-        defaults = {}
-        for key, value in config.items():
-            dest = key.replace("-", "_")
-            if dest not in actions:
-                print(f"error: unknown config option {key!r}", file=sys.stderr)
-                return EXIT_USAGE
-            wanted = _config_type_error(actions[dest], value)
-            if wanted is not None:
-                print(f"error: config option {key!r} must be {wanted}", file=sys.stderr)
-                return EXIT_USAGE
-            defaults[dest] = value
-        subparser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            args = _with_config(parser, args, argv)
         return args.func(args)
-    except (CliError, ProgramError, ArenaError) as exc:
+    except (CliError, ProgramError, ArenaError, ProviderError, MetaGameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -133,6 +133,27 @@ def make_variants(program: StrategyProgram, seed: int) -> dict[str, SourceText]:
     }
 
 
+def benchmark_items(
+    item_id: str, program: StrategyProgram, seed: int, rounds: int
+) -> list[BenchmarkItem]:
+    """The VARIANTS items of one program loaded for the IPD, all with the
+    label of the unmasked one; raises TransformViolation if a variant's
+    trace diverges from it."""
+    variants = make_variants(program, derive_seed(seed, "obfuscate", item_id))
+    label_seed = derive_seed(seed, "label", item_id)
+    reference = label_cooperative(program, rounds, label_seed)
+    for name in ("masked", "obfuscated"):
+        variant = load_program(variants[name], game=GAME_IPD)
+        if label_cooperative(variant, rounds, label_seed).trace != reference.trace:
+            raise TransformViolation(
+                f"{item_id}: {name} variant trace diverged from the original"
+            )
+    stochastic = is_stochastic(program)
+    return [
+        BenchmarkItem(item_id, name, variants[name], reference, stochastic) for name in VARIANTS
+    ]
+
+
 def build_benchmark(
     corpus: list[tuple[str, SourceText]],
     seed: int = DEFAULT_LABEL_SEED,
@@ -140,21 +161,7 @@ def build_benchmark(
 ) -> list[BenchmarkItem]:
     items: list[BenchmarkItem] = []
     for item_id, source in corpus:
-        program = load_program(source, game=GAME_IPD)
-        variants = make_variants(program, derive_seed(seed, "obfuscate", item_id))
-        label_seed = derive_seed(seed, "label", item_id)
-        reference = label_cooperative(program, rounds, label_seed)
-        for name in ("masked", "obfuscated"):
-            variant = load_program(variants[name], game=GAME_IPD)
-            if label_cooperative(variant, rounds, label_seed).trace != reference.trace:
-                raise TransformViolation(
-                    f"{item_id}: {name} variant trace diverged from the original"
-                )
-        stochastic = is_stochastic(program)
-        for name in VARIANTS:
-            items.append(
-                BenchmarkItem(item_id, name, variants[name], reference, stochastic)
-            )
+        items += benchmark_items(item_id, load_program(source, game=GAME_IPD), seed, rounds)
     return items
 
 

@@ -63,10 +63,17 @@ def load_program(
     return StrategyProgram(src, tree, game)
 
 
-def load_program_file(path: str | Path, game: str | None = GAME_IPD) -> StrategyProgram:
-    path = Path(path)
+def read_source_file(path: Path) -> str:
+    """A program file's text; raises ProgramError naming the file if it
+    cannot be read or is not UTF-8."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ProgramError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return load_program(SourceText(text, origin=str(path)), game=game)
+    except UnicodeDecodeError as exc:
+        raise ProgramError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
+
+
+def load_program_file(path: str | Path, game: str | None = GAME_IPD) -> StrategyProgram:
+    path = Path(path)
+    return load_program(SourceText(read_source_file(path), origin=str(path)), game=game)

@@ -26,6 +26,9 @@ import subprocess
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
+
+from .program import ProgramError, read_source_file
 
 PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT = 60.0
@@ -372,7 +375,8 @@ def _read_source(spec: dict, where: str) -> str:
     if isinstance(spec.get("source"), str):
         return spec["source"]
     if isinstance(spec.get("path"), str):
-        from pathlib import Path
-
-        return Path(spec["path"]).read_text(encoding="utf-8")
+        try:
+            return read_source_file(Path(spec["path"]))
+        except ProgramError as exc:
+            raise ProviderError(f"{where}: {exc}") from exc
     raise ProviderError(f"{where} needs a 'source' or 'path' string")

@@ -9,8 +9,10 @@ import pytest
 from osgames import _pool, arena, program
 from osgames.arena import (
     ArenaError,
+    FaultRecord,
     MatchConfig,
     PLAYER_IDS,
+    Policy,
     RoundRobinTable,
     play_match,
     replay,
@@ -21,7 +23,7 @@ from osgames.games import PayoffParams
 from osgames.program import ProgramError, load_program
 from osgames.runio import canonical_json_bytes
 from osgames.rng import derive_seed
-from osgames.runtime import Budget, can_draw, reads_opp_source
+from osgames.runtime import Bindings, Budget, can_draw, reads_opp_source
 from osgames.slang.validator import validate
 
 
@@ -339,9 +341,9 @@ def count_matches(monkeypatch):
     calls = []
     real = arena.play_match  # the one match loop, round_robin's included
 
-    def counting(pa, pb, cfg, tries=None):
+    def counting(pa, pb, cfg, memo=None):
         calls.append((pa.text, pb.text, cfg.seed))
-        return real(pa, pb, cfg, tries)
+        return real(pa, pb, cfg, memo)
 
     monkeypatch.setattr(arena, "play_match", counting)
     return calls
@@ -392,15 +394,18 @@ def count_evaluations(monkeypatch):
     return calls
 
 
-def test_round_robin_evaluates_each_seed_free_history_once(monkeypatch, ipd_corpus):
+@pytest.mark.parametrize("rounds, seed, evaluations", [(5, 3, 1038), (100, 7, 30948)])
+def test_round_robin_evaluates_each_seed_free_history_once(
+    monkeypatch, ipd_corpus, rounds, seed, evaluations
+):
     calls = count_evaluations(monkeypatch)
-    round_robin(ipd_corpus, MatchConfig(rounds=5, seed=3))
+    round_robin(ipd_corpus, MatchConfig(rounds=rounds, seed=seed))
     drawing = [tree for tree in calls if can_draw(tree)]
     # The 3 drawing programs still evaluate every round, in both seats
     # against all 20 types; the 17 seed-free programs evaluate once per
     # distinct history (and opponent source, for similarity_tester).
-    assert len(drawing) == 3 * 20 * 2 * 5
-    assert len(calls) == 1038  # 264 matches x 10 = 2640 with no reuse
+    assert len(drawing) == 3 * 20 * 2 * rounds
+    assert len(calls) == evaluations  # 264 matches x 2 x rounds with no reuse
 
 
 def test_types_of_identical_text_share_one_trie(monkeypatch, tft, alld):
@@ -499,14 +504,43 @@ def test_trie_replay_keeps_every_fault(monkeypatch, alld, tft):
     assert faulted == {(0, "A"), (0, "B"), (1, "A"), (1, "B")}
     assert {f.round for f in plain[(1, 2)].faults} == {1, 2, 3}
     expected = {cell: canonical_json_bytes(r.to_json_dict()) for cell, r in plain.items()}
-    tries = arena._HistoryTries()
+    memo = arena.Memo()
     calls = count_evaluations(monkeypatch)
     for warm in (False, True):
         del calls[:]
         for i, j in pairs:
-            record = play_match(programs[i], programs[j], cfg, tries)
+            record = play_match(programs[i], programs[j], cfg, memo)
             assert canonical_json_bytes(record.to_json_dict()) == expected[(i, j)]
         assert (len(calls) == 0) if warm else (0 < len(calls) < 2 * cfg.rounds * len(pairs))
+
+
+def test_policy_replays_a_memo_without_play_match(monkeypatch, alld, tft):
+    flaky = load_program(FLAKY_SRC, origin="flaky")  # faults in round 1 after a D
+    cfg = MatchConfig(rounds=2, seed=4)
+    memo = arena.Memo()
+
+    def moves(player, opponent):
+        policy = Policy(flaky, opponent, cfg, player, memo)
+        env = Bindings("ipd", [], [], flaky.text, opponent.text)
+        first = policy.act(env)
+        policy.advance(first[0] + "D")
+        env.my_history.append(first[0])
+        env.opp_history.append("D")
+        env.round_index = 1
+        return first, policy.act(env)
+
+    first, second = moves("A", alld)
+    assert first == ("C", None)
+    assert second[0] == cfg.fallback_action
+    fault = second[1]
+    assert (fault.player, fault.round, fault.kind) == ("A", 1, "index-out-of-range")
+    calls = count_evaluations(monkeypatch)
+    # flaky does not read opp_source, so another opponent shares its trie
+    assert moves("B", tft) == (
+        ("C", None),
+        (cfg.fallback_action, FaultRecord("B", 1, fault.kind, fault.span, fault.detail)),
+    )
+    assert calls == []
 
 
 def test_round_robin_requires_two_types(allc):

@@ -15,6 +15,7 @@ ALLC = str(corpus_path("ipd/allc.slang"))
 ALLD = str(corpus_path("ipd/alld.slang"))
 COMPARATOR = str(corpus_path("equilibrium/syntactic_comparator.slang"))
 COIN = [str(corpus_path(f"coin/{name}.slang")) for name in ("greedy_chaser", "random_walker")]
+NOT_UTF8 = b'fn strategy() {\n    return "C"\n}\n# \xff\n'
 
 
 @pytest.fixture(autouse=True)
@@ -132,9 +133,10 @@ def test_label_continues_past_bad_files(tmp_path, capsys):
     corpus.mkdir()
     (corpus / "good.slang").write_text('fn strategy() {\n    return "C"\n}\n')
     (corpus / "broken.slang").write_text("fn strategy( {\n")
+    (corpus / "latin1.slang").write_bytes(NOT_UTF8)
     code, _, err = run(["label", str(corpus), "--out", str(tmp_path / "l.json")], capsys)
     assert code == 1
-    assert "broken" in err
+    assert "broken" in err and "latin1.slang: not UTF-8" in err
     manifest = json.loads((tmp_path / "l.json").read_text())
     assert [item["id"] for item in manifest["items"]] == ["good"]
 
@@ -181,6 +183,20 @@ def test_label_variants_labels_each_program_once(tmp_path, capsys, monkeypatch):
     assert sorted(Path(origin).name for origin in calls) == [
         f"{name}.slang{suffix}" for name in ("allc", "tft") for suffix in suffixes
     ]
+
+
+def test_label_variants_parses_each_file_once(tmp_path, capsys, monkeypatch):
+    from osgames import labeling, program
+
+    parsed = []
+    real = program.parse_source
+    monkeypatch.setattr(program, "parse_source", lambda src: parsed.append(src) or real(src))
+    labeling.cooperator_program.cache_clear()  # count its one parse too
+    argv = ["label", str(ipd_corpus_dir()), "--variants", "--out", str(tmp_path)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    # the 20 corpus files, their 40 masked and obfuscated variants, the cooperator
+    assert len(parsed) == 20 + 40 + 1
 
 
 def test_label_trials_reports_rate(tmp_path, capsys):
@@ -629,6 +645,35 @@ def test_out_of_range_option_exit_2(tmp_path, capsys, monkeypatch, argv, message
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert not out.exists()  # nothing written before the error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["match", "{bad}", TFT],
+        ["transform", "strip", "{bad}"],
+        ["meta", "{providers}"],
+        ["meta", "{bad}"],
+        ["meta", "{good_providers}", "--judge-labels", "{bad}"],
+        ["match", TFT, ALLD, "--config", "{bad}"],
+        ["evolve", "--matrix", "{bad}"],
+    ],
+    ids=["match", "transform", "provider-path", "providers-file", "judge-labels", "config",
+         "matrix"],
+)
+def test_non_utf8_input_exit_2_naming_the_file(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.slang"
+    bad.write_bytes(NOT_UTF8)
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps({"a": {"kind": "static", "path": str(bad)}, "b": STATIC_TFT}))
+    good_providers = tmp_path / "good_providers.json"
+    good_providers.write_text(json.dumps({"a": STATIC_TFT, "b": STATIC_TFT}))
+    files = {"{bad}": bad, "{providers}": providers, "{good_providers}": good_providers}
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    code, _, err = run([*argv, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and f"{bad}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_defaults(tmp_path, capsys):
