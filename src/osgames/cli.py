@@ -28,7 +28,7 @@ from . import __version__, evolution, labeling, metrics as metrics_mod
 from ._pool import pool_map
 from .arena import ArenaError, MatchConfig, play_match, round_robin
 from .metagame import MetaGameError, merge_judge_labels, run_meta_game
-from .program import ProgramError, load_program, load_program_file, read_source_file
+from .program import ProgramError, load_program_file, read_source_file
 from .providers import ProviderError, provider_from_spec
 from .rng import SplitMix64
 from .runio import atomic_write_json, atomic_write_text, write_manifest
@@ -57,13 +57,8 @@ def _out_path(arg: str | None, default_name: str) -> Path:
 
 
 def _load_programs(paths: list[str], game: str):
-    programs = []
-    for path in paths:
-        try:
-            programs.append(load_program_file(path, game=game))
-        except ProgramError as exc:
-            raise CliError(str(exc)) from exc
-    return programs
+    """(file stem, program) for each program file."""
+    return [(Path(path).stem, load_program_file(path, game=game)) for path in paths]
 
 
 def _payoffs_from(arg: str | None):
@@ -83,7 +78,8 @@ def _read_json(path: str, what: str):
     read or is not UTF-8 JSON."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError
+    # UnicodeDecodeError and JSONDecodeError, and JSON nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -118,7 +114,7 @@ def _match_config(args) -> MatchConfig:
 
 
 def cmd_match(args) -> int:
-    pa, pb = _load_programs([args.program_a, args.program_b], args.game)
+    (_, pa), (_, pb) = _load_programs([args.program_a, args.program_b], args.game)
     record = play_match(pa, pb, _match_config(args))
     print(f"A {pa.origin}: {record.totals[0]}")
     print(f"B {pb.origin}: {record.totals[1]}")
@@ -263,17 +259,10 @@ def _label_variants(args, corpus_dir: Path, files: list[Path]) -> int:
 
 
 def cmd_metrics(args) -> int:
-    try:
-        program = load_program_file(args.program, game=None)
-    except ProgramError as exc:
-        raise CliError(str(exc)) from exc
+    program = load_program_file(args.program, game=None)
     report = metrics_mod.collect(program.tree).to_flat_dict()
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(report), lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(report)
-        print(buf.getvalue(), end="")
+        print(_csv_text(list(report), [list(report.values())]), end="")
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
@@ -308,8 +297,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_tournament(args) -> int:
-    programs = _load_programs(args.programs, args.game)
-    entries = [(Path(p).stem, prog) for p, prog in zip(args.programs, programs)]
+    entries = _load_programs(args.programs, args.game)
     table = round_robin(entries, _match_config(args), args.reps, jobs=args.jobs)
     width = max(len(t) for t in table.tags) + 2
     header = " " * width + "".join(f"{t:>{width}}" for t in table.tags)
@@ -327,6 +315,8 @@ def _matrix_from_args(args, check):
     """The payoff matrix of --matrix FILE or of the programs' round robin,
     and check(size) on its number of types, which for programs runs before
     any match is played."""
+    if (args.matrix is None) == (not args.programs):
+        raise CliError("give either --matrix FILE or program files, not both")
     if args.matrix is not None:
         obj = _read_json(args.matrix, "matrix file")
         try:
@@ -334,11 +324,8 @@ def _matrix_from_args(args, check):
         except ValueError as exc:
             raise CliError(f"bad matrix file {args.matrix}: {exc}") from exc
         return matrix, check(matrix.size)
-    if not args.programs:
-        raise CliError("give either --matrix FILE or program files")
-    programs = _load_programs(args.programs, args.game)
-    checked = check(len(programs))
-    entries = [(Path(p).stem, prog) for p, prog in zip(args.programs, programs)]
+    entries = _load_programs(args.programs, args.game)
+    checked = check(len(entries))
     return evolution.estimate_payoff_matrix(entries, _match_config(args), args.reps), checked
 
 
@@ -359,12 +346,20 @@ def _parse_x0(arg: str | None, size: int) -> np.ndarray:
     return values
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> Path:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return atomic_write_text(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def _flow_csv(matrix: evolution.PayoffMatrix, resolution: int) -> tuple[str, int]:
+    """The flow field's CSV text and its number of samples."""
+    rows = evolution.flow_rows(evolution.flow_field(matrix, resolution))
+    tags = matrix.tags
+    header = [f"x_{t}" for t in tags] + [f"dx_{t}" for t in tags] + ["strength"]
+    return _csv_text(header, rows), len(rows)
 
 
 def _evolve_start(args, size: int) -> np.ndarray:
@@ -379,33 +374,22 @@ def cmd_evolve(args) -> int:
     _checked(evolution.check_steps, args.dt, args.steps)  # before the round robin
     matrix, x0 = _matrix_from_args(args, lambda size: _evolve_start(args, size))
     trajectory = _checked(evolution.integrate, matrix, x0, dt=args.dt, steps=args.steps)
-    samples = None
-    if matrix.size == 3:
-        samples = evolution.flow_field(matrix, args.resolution)
     outdir = _out_path(args.out, "evolve_run")
-    artifacts = [atomic_write_json(outdir / "payoff_matrix.json", matrix.to_json_dict())]
-    artifacts.append(
-        _write_csv(
-            outdir / "trajectory.csv",
-            ["t"] + [f"x_{t}" for t in matrix.tags],
-            evolution.trajectory_rows(trajectory),
-        )
+    trajectory_csv = _csv_text(
+        ["t"] + [f"x_{t}" for t in matrix.tags], evolution.trajectory_rows(trajectory)
     )
+    artifacts = [
+        atomic_write_json(outdir / "payoff_matrix.json", matrix.to_json_dict()),
+        atomic_write_text(outdir / "trajectory.csv", trajectory_csv),
+    ]
     if matrix.size <= 3:
         report = evolution.fixed_points(matrix, tol=args.tol)
         artifacts.append(
             atomic_write_json(outdir / "fixed_points.json", report.to_json_dict())
         )
-    if samples is not None:
-        artifacts.append(
-            _write_csv(
-                outdir / "flow.csv",
-                [f"x_{t}" for t in matrix.tags]
-                + [f"dx_{t}" for t in matrix.tags]
-                + ["strength"],
-                evolution.flow_rows(samples),
-            )
-        )
+    if matrix.size == 3:
+        flow_csv, _ = _flow_csv(matrix, args.resolution)
+        artifacts.append(atomic_write_text(outdir / "flow.csv", flow_csv))
     write_manifest(
         outdir,
         "evolve",
@@ -422,7 +406,7 @@ def cmd_evolve(args) -> int:
             "tol": args.tol,
             "resolution": args.resolution,
         },
-        [p for p in (args.matrix, *(args.programs or ())) if p],
+        [args.matrix] if args.matrix else args.programs,
         artifacts,
         __version__,
     )
@@ -437,21 +421,12 @@ def cmd_flow(args) -> int:
     matrix, _ = _matrix_from_args(
         args, lambda size: _checked(evolution.check_flow, size, args.resolution)
     )
-    samples = evolution.flow_field(matrix, args.resolution)
-    header = (
-        [f"x_{t}" for t in matrix.tags]
-        + [f"dx_{t}" for t in matrix.tags]
-        + ["strength"]
-    )
-    rows = evolution.flow_rows(samples)
+    text, count = _flow_csv(matrix, args.resolution)
     if args.out is not None:
-        path = _out_path(args.out, "flow.csv")
-        _write_csv(path, header, rows)
-        print(f"flow field: {path} ({len(rows)} samples)")
+        path = atomic_write_text(_out_path(args.out, "flow.csv"), text)
+        print(f"flow field: {path} ({count} samples)")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        print(text, end="")
     return EXIT_OK
 
 

@@ -9,14 +9,15 @@ are the standard replicator equation
 (types above the population-mean payoff grow).  Trajectories are integrated
 with fixed-step RK4 and projected back onto the simplex each step by
 clipping tiny negatives and renormalizing.  Fixed points are found by
-support enumeration: vertices always, each edge/interior support by solving
-the equal-fitness linear system; a singular system is reported as a fixed
-continuum rather than a point.
+enumerating supports of size 1 to 3 and solving each one's equal-fitness
+linear system (a vertex is a support of size 1); a singular system is
+reported as a fixed continuum rather than a point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -31,9 +32,6 @@ EVOLUTION_ROUNDS = 50
 class PayoffMatrix:
     tags: tuple[str, ...]
     a: np.ndarray  # (n, n), a[i, j] = mean payoff of type i against type j
-    samples: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(
-        default_factory=dict, compare=False
-    )
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -74,7 +72,7 @@ class PayoffMatrix:
 
     @classmethod
     def from_table(cls, table: RoundRobinTable) -> "PayoffMatrix":
-        return cls(table.tags, np.asarray(table.means, dtype=float), dict(table.samples))
+        return cls(table.tags, np.asarray(table.means, dtype=float))
 
 
 def estimate_payoff_matrix(
@@ -96,14 +94,22 @@ def _as_simplex(x, size: int, tol: float = 1e-9) -> np.ndarray:
     return x
 
 
+def _payoffs(matrix: PayoffMatrix | np.ndarray) -> np.ndarray:
+    return matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
+
+
+def _field(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The replicator field x * (Ax - x^T A x), the one place it is computed."""
+    fitness = a @ x
+    return x * (fitness - x @ fitness)
+
+
 def replicator_derivative(matrix: PayoffMatrix | np.ndarray, x) -> np.ndarray:
-    a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
+    a = _payoffs(matrix)
     x = np.asarray(x, dtype=float)
     if x.shape != (a.shape[0],):
         raise ValueError("population vector does not match the matrix size")
-    fitness = a @ x
-    mean = x @ fitness
-    return x * (fitness - mean)
+    return _field(a, x)
 
 
 @dataclass(frozen=True)
@@ -135,21 +141,16 @@ def integrate(
     Every stored state is clipped (tiny negatives to zero) and renormalized,
     so the simplex invariants hold along the whole trajectory.
     """
-    a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
+    a = _payoffs(matrix)
     check_steps(dt, steps)
     x = _as_simplex(x0, a.shape[0])
     states = np.empty((steps + 1, a.shape[0]))
     states[0] = x
-
-    def f(y):
-        fitness = a @ y
-        return y * (fitness - y @ fitness)
-
     for k in range(1, steps + 1):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
+        k1 = _field(a, x)
+        k2 = _field(a, x + 0.5 * dt * k1)
+        k3 = _field(a, x + 0.5 * dt * k2)
+        k4 = _field(a, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = np.clip(x, 0.0, None)
         x = x / x.sum()
@@ -180,14 +181,14 @@ def flow_field(matrix: PayoffMatrix | np.ndarray, resolution: int) -> list[FlowS
     Only defined for exactly three types; spacing is 1/resolution, which
     yields (resolution+1)(resolution+2)/2 samples.
     """
-    a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
+    a = _payoffs(matrix)
     check_flow(a.shape[0], resolution)
     samples: list[FlowSample] = []
     for i in range(resolution + 1):
         for j in range(resolution + 1 - i):
             k = resolution - i - j
             x = np.array([i, j, k], dtype=float) / resolution
-            xdot = replicator_derivative(a, x)
+            xdot = _field(a, x)
             samples.append(FlowSample(x, xdot, float(np.linalg.norm(xdot))))
     return samples
 
@@ -232,15 +233,8 @@ class FixedPointReport:
 
 def _jacobian(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     fitness = a @ x
-    mean = x @ fitness
-    n = a.shape[0]
-    jac = np.empty((n, n))
-    grad_mean = fitness + a.T @ x  # d(x^T A x)/dx_j
-    for i in range(n):
-        for j in range(n):
-            jac[i, j] = x[i] * (a[i, j] - grad_mean[j])
-            if i == j:
-                jac[i, j] += fitness[i] - mean
+    jac = x[:, None] * (a - (fitness + a.T @ x))  # fitness + A^T x = d(x^T A x)/dx
+    jac[np.diag_indices_from(jac)] += fitness - x @ fitness
     return jac
 
 
@@ -294,37 +288,21 @@ def _support_solution(a: np.ndarray, support: tuple[int, ...]) -> np.ndarray | s
 def fixed_points(
     matrix: PayoffMatrix | np.ndarray, tol: float = 1e-9
 ) -> FixedPointReport:
-    """Support enumeration for up to three types."""
-    a = matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
+    """Support enumeration for up to three types, vertices first."""
+    a = _payoffs(matrix)
     n = a.shape[0]
     if n > 3:
         raise ValueError("fixed-point enumeration is implemented for up to 3 types")
-    classification = {1: "vertex", 2: "edge", 3: "interior"}
     points: list[FixedPoint] = []
     continua: list[FixedContinuum] = []
-
-    def add_point(x: np.ndarray, kind: str):
-        residual = float(np.linalg.norm(replicator_derivative(a, x)))
-        points.append(FixedPoint(x, residual, kind, _stability(a, x, tol)))
-
-    for i in range(n):
-        x = np.zeros(n)
-        x[i] = 1.0
-        add_point(x, "vertex")
-
-    from itertools import combinations
-
-    for size in (2, 3):
-        if size > n:
-            break
+    for size, kind in zip(range(1, n + 1), ("vertex", "edge", "interior")):
         for support in combinations(range(n), size):
-            solution = _support_solution(a, support)
-            if solution is None:
-                continue
-            if isinstance(solution, str):
-                continua.append(FixedContinuum(support, classification[size]))
-            else:
-                add_point(solution, classification[size])
+            x = _support_solution(a, support)
+            if isinstance(x, str):
+                continua.append(FixedContinuum(support, kind))
+            elif x is not None:
+                residual = float(np.linalg.norm(_field(a, x)))
+                points.append(FixedPoint(x, residual, kind, _stability(a, x, tol)))
     return FixedPointReport(tuple(points), tuple(continua))
 
 

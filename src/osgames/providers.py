@@ -121,6 +121,11 @@ class ScriptedProvider(Provider):
         return chosen
 
 
+def _cut(text: str, room: int = TRANSCRIPT_MESSAGE_CHARS) -> str:
+    """text, cut to room characters with … marking the cut."""
+    return text[:room] + "…" if len(text) > room else text
+
+
 def _bounded_lines(stream, limit: int):
     """Yield (line, whole) for each line of a text stream, holding at most
     limit + 1 characters at a time.  A line longer than limit characters
@@ -194,10 +199,7 @@ class ExternalProvider(Provider):
     def _note(self, arrow: str, body: str) -> None:
         """Keep arrow + body, cut to TRANSCRIPT_MESSAGE_CHARS; the body is cut
         before it is joined, so a long message is never copied whole."""
-        room = TRANSCRIPT_MESSAGE_CHARS - len(arrow)
-        if len(body) > room:
-            body = body[:room] + "…"
-        self._transcript.append(arrow + body)
+        self._transcript.append(arrow + _cut(body, TRANSCRIPT_MESSAGE_CHARS - len(arrow)))
 
     def _drain_stderr(self, stream) -> None:
         for line, whole in _bounded_lines(stream, TRANSCRIPT_MESSAGE_CHARS):
@@ -251,7 +253,7 @@ class ExternalProvider(Provider):
         reply = self._exchange(json.dumps(hello, sort_keys=True))
         if reply.get("type") != "ready":
             raise self._fault(
-                f"agent handshake failed, expected ready, got {reply!r};"
+                f"agent handshake failed, expected ready, got {_cut(repr(reply))};"
                 f" transcript: {self.transcript}"
             )
 
@@ -268,16 +270,19 @@ class ExternalProvider(Provider):
             raise self._fault("agent process closed its output", closed=True)
         self._note("<- ", raw.rstrip())
         try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProviderError(f"agent sent malformed JSON: {raw!r}") from exc
+            reply = json.loads(raw)
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+            raise ProviderError(f"agent sent malformed JSON: {_cut(repr(raw))}") from exc
+        if not isinstance(reply, dict):
+            raise ProviderError(f"agent sent a non-object message: {_cut(repr(raw))}")
+        return reply
 
     def propose(self, ctx: ProposalContext) -> str:
         if self._process is None:
             raise ProviderError("provider not started")
         reply = self._exchange(self._propose_line(ctx))
         if reply.get("type") != "program" or not isinstance(reply.get("source"), str):
-            raise ProviderError(f"agent sent an invalid program message: {reply!r}")
+            raise ProviderError(f"agent sent an invalid program message: {_cut(repr(reply))}")
         return reply["source"]
 
     def _propose_line(self, ctx: ProposalContext) -> str:

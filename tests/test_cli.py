@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
@@ -438,6 +440,32 @@ def test_flow_csv(tmp_path, capsys):
     assert rows[0][-1] == "strength"
 
 
+def test_flow_csv_bytes_are_the_same_on_stdout_in_a_file_and_in_an_evolve_run(
+    tmp_path, capsys
+):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(
+        json.dumps({"tags": ["AllC", "AllD", "TFT"],
+                    "matrix": [[30, 0, 30], [50, 10, 14], [30, 9, 30]]})
+    )
+    code, stdout, _ = run(["flow", "--matrix", str(matrix), "--resolution", "7"], capsys)
+    assert code == 0
+    out = tmp_path / "flow.csv"
+    code, _, _ = run(
+        ["flow", "--matrix", str(matrix), "--resolution", "7", "--out", str(out)], capsys
+    )
+    assert code == 0
+    outdir = tmp_path / "run"
+    code, _, _ = run(
+        ["evolve", "--matrix", str(matrix), "--resolution", "7", "--steps", "10",
+         "--out", str(outdir)],
+        capsys,
+    )
+    assert code == 0
+    assert stdout.count("\n") == 37  # header + 36 samples
+    assert out.read_bytes() == stdout.encode() == (outdir / "flow.csv").read_bytes()
+
+
 def test_meta_with_providers_config(tmp_path, capsys):
     providers = tmp_path / "providers.json"
     providers.write_text(
@@ -614,6 +642,11 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         (["evolve", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
         (["flow", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
         (["flow", ALLC, ALLD], "flow fields are only defined for exactly 3 types"),
+        (["evolve", "--matrix", "{matrix}", ALLC, ALLD],
+         "give either --matrix FILE or program files, not both"),
+        (["flow", "--matrix", "{matrix}", ALLC, ALLD, TFT],
+         "give either --matrix FILE or program files, not both"),
+        (["evolve"], "give either --matrix FILE or program files, not both"),
         (["match", "--game", "coin", "--board-size", "1", *COIN],
          "board size must be at least 2"),
         (["match", TFT, ALLD, "--step-limit", "0"], "budget limits must be strictly positive"),
@@ -623,6 +656,7 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         "label-trials", "label-trials-zero", "meta-seeds", "meta-seeds-negative",
         "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-dt-nan", "evolve-dt-inf",
         "evolve-x0-nan", "evolve-resolution", "flow-resolution", "flow-two-types",
+        "evolve-matrix-and-programs", "flow-matrix-and-programs", "evolve-neither",
         "match-board-size", "match-step-limit",
     ],
 )
@@ -632,7 +666,10 @@ def test_out_of_range_option_exit_2(tmp_path, capsys, monkeypatch, argv, message
     providers = tmp_path / "providers.json"
     providers.write_text(json.dumps({"a": {"kind": "static", "path": TFT},
                                      "b": {"kind": "static", "path": ALLD}}))
-    files = {"{rounds0}": str(config), "{providers}": str(providers)}
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"tags": ["a", "b", "c"],
+                                  "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    files = {"{rounds0}": str(config), "{providers}": str(providers), "{matrix}": str(matrix)}
     argv = [files.get(arg, arg) for arg in argv]
     if argv[0] in ("evolve", "flow"):  # the options are checked before any match
 
@@ -657,22 +694,30 @@ def test_out_of_range_option_exit_2(tmp_path, capsys, monkeypatch, argv, message
         ["meta", "{good_providers}", "--judge-labels", "{bad}"],
         ["match", TFT, ALLD, "--config", "{bad}"],
         ["evolve", "--matrix", "{bad}"],
+        ["match", TFT, ALLD, "--config", "{deep}"],
+        ["meta", "{deep}"],
+        ["evolve", "--matrix", "{deep}"],
     ],
     ids=["match", "transform", "provider-path", "providers-file", "judge-labels", "config",
-         "matrix"],
+         "matrix", "config-deep", "providers-file-deep", "matrix-deep"],
 )
 def test_non_utf8_input_exit_2_naming_the_file(tmp_path, capsys, argv):
+    """Also JSON nested deeper than the recursion limit ({deep})."""
     bad = tmp_path / "latin1.slang"
     bad.write_bytes(NOT_UTF8)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
     providers = tmp_path / "providers.json"
     providers.write_text(json.dumps({"a": {"kind": "static", "path": str(bad)}, "b": STATIC_TFT}))
     good_providers = tmp_path / "good_providers.json"
     good_providers.write_text(json.dumps({"a": STATIC_TFT, "b": STATIC_TFT}))
-    files = {"{bad}": bad, "{providers}": providers, "{good_providers}": good_providers}
+    files = {"{bad}": bad, "{deep}": deep, "{providers}": providers,
+             "{good_providers}": good_providers}
+    named = deep if "{deep}" in argv else bad
     argv = [str(files.get(arg, arg)) for arg in argv]
     code, _, err = run([*argv, "--out", str(tmp_path / "out")], capsys)
     assert code == 2
-    assert err.startswith("error: ") and f"{bad}" in err and "Traceback" not in err
+    assert err.startswith("error: ") and f"{named}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -728,3 +773,25 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["match", TFT, ALLD, "--seed", "7", "--out", "rec.json"], capsys)
     assert code == 0
     assert (tmp_path / "rec.json").exists()
+
+
+def _package_data_globs() -> list[str]:
+    """The osgames globs of pyproject.toml's [tool.setuptools.package-data],
+    read as text (tomllib is Python 3.11+)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[tool\.setuptools\.package-data\]$(.*?)(?=^\[|\Z)", text,
+                        re.M | re.S)
+    assert section, "pyproject.toml has no [tool.setuptools.package-data] table"
+    return re.findall(r'"([^"]+)"', section.group(1))
+
+
+def test_package_data_ships_every_corpus_program():
+    globs = [g.split("/") for g in _package_data_globs()]
+    package = corpus_dir().parent
+    paths = sorted(corpus_dir().rglob("*.slang"))
+    assert paths, "no corpus programs found"
+    for path in paths:
+        parts = path.relative_to(package).parts
+        assert any(
+            len(g) == len(parts) and all(map(fnmatchcase, parts, g)) for g in globs
+        ), f"{path} is matched by no package-data glob, so the wheel leaves it out"

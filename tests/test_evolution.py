@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from osgames.arena import MatchConfig
+from osgames.arena import MatchConfig, round_robin
 from osgames.evolution import (
     EVOLUTION_ROUNDS,
     PayoffMatrix,
@@ -220,6 +220,33 @@ def test_identity_matrix_interior_barycenter():
     assert np.allclose(interior[0].x, np.full(3, 1 / 3))
 
 
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        (PayoffMatrix(("a",), [[2]]), [([1.0], "vertex", "neutral")]),
+        (
+            PayoffMatrix(("a", "b"), [[2, 0], [0, 1]]),  # coordination: x_a = 1/3 splits
+            [([1.0, 0.0], "vertex", "stable"), ([0.0, 1.0], "vertex", "stable"),
+             ([1 / 3, 2 / 3], "edge", "unstable")],
+        ),
+        (
+            CLASSIC,
+            [([1.0, 0.0, 0.0], "vertex", "neutral"), ([0.0, 1.0, 0.0], "vertex", "stable"),
+             ([0.0, 0.0, 1.0], "vertex", "neutral"),
+             ([0.0, 16 / 17, 1 / 17], "edge", "unstable")],
+        ),
+    ],
+    ids=["one-type", "two-types", "classic"],
+)
+def test_fixed_points_list_vertices_first_in_index_order(matrix, expected):
+    report = fixed_points(matrix, tol=1e-9)
+    assert [(p.classification, p.stability) for p in report.points] == [
+        (kind, stability) for _, kind, stability in expected
+    ]
+    for point, (x, _, _) in zip(report.points, expected):
+        assert np.allclose(point.x, x, atol=1e-12) and point.residual <= 1e-12
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -266,10 +293,11 @@ def test_estimate_repetitions_identical_for_deterministic(allc, alld, tft):
 
 def test_estimate_stochastic_mean_matches_samples(allc):
     flip = load_program('fn strategy() {\n    return choice(["C", "D"])\n}\n')
-    matrix = estimate_payoff_matrix(
-        [("AllC", allc), ("Flip", flip)], MatchConfig(rounds=10, seed=0), repetitions=7
-    )
-    cell = matrix.samples[(1, 0)]
+    types = [("AllC", allc), ("Flip", flip)]
+    cfg = MatchConfig(rounds=10, seed=0)
+    matrix = estimate_payoff_matrix(types, cfg, repetitions=7)
+    cell = round_robin(types, cfg, 7).samples[(1, 0)]
+    assert len(cell) == 7 and len({p for _, p in cell}) > 1  # the samples differ
     assert matrix.a[1, 0] == sum(p for _, p in cell) / len(cell)
 
 

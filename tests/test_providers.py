@@ -220,6 +220,42 @@ def test_external_provider_undecodable_reply_is_an_invalid_message():
         provider.close()
 
 
+#: Python expressions for replies that must each end in a short ProviderError.
+BAD_REPLIES = {
+    "non-object": "'[1, 2]'",
+    "deeply-nested": "'[' * 100_000 + ']' * 100_000",
+    "long-malformed": "'x' * 100_000",
+    "long-wrong-object": "'{\"type\": \"nope\", \"pad\": \"' + 'x' * 100_000 + '\"}'",
+}
+
+
+@pytest.mark.parametrize("stage", ["hello", "propose"])
+@pytest.mark.parametrize("reply", list(BAD_REPLIES.values()), ids=list(BAD_REPLIES))
+def test_external_provider_bad_reply_is_a_short_provider_error(stage, reply):
+    agent = (
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        f"if {stage == 'propose'}:\n"
+        "    sys.stdout.write('{\"type\": \"ready\"}\\n')\n"
+        "    sys.stdout.flush()\n"
+        "    sys.stdin.readline()\n"
+        f"sys.stdout.write({reply} + '\\n')\n"
+        "sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+    )
+    provider = ExternalProvider("x", command=[sys.executable, "-c", agent], timeout=20)
+    try:
+        with pytest.raises(ProviderError) as exc:
+            provider.start("ipd")
+            provider.propose(ctx(1))
+    finally:
+        provider.close()
+    message = str(exc.value)
+    assert message.startswith("agent ")
+    # the reply is quoted cut, like the transcript's copy of it
+    assert len(message) < 3 * TRANSCRIPT_MESSAGE_CHARS
+
+
 def test_external_provider_missing_command():
     provider = ExternalProvider("x", command=["/no/such/binary"])
     with pytest.raises(ProviderError):
