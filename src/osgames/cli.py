@@ -7,8 +7,9 @@ outputs are canonical JSON/CSV written atomically.  Exit codes: 0 success,
 corpus files), 2 usage or input errors.
 
 A --config JSON file may hold any of a command's long options (flags given
-on the command line win); OSGAMES_OUT_DIR provides the default base
-directory for relative output paths.
+on the command line win); a run directory's manifest.json holds the run's
+options in that form, so its config re-runs the command.  OSGAMES_OUT_DIR
+provides the default base directory for relative output paths.
 """
 
 from __future__ import annotations
@@ -92,6 +93,22 @@ def _checked(fn, *args, **kwargs):
         raise CliError(str(exc)) from exc
 
 
+#: Options that change no byte of a run's outputs (the tables are the same
+#: for any --jobs), so a manifest's config leaves them out.
+_NOT_RUN_CONFIG = frozenset({"help", "out", "config", "jobs"})
+
+
+def _write_manifest(args, outdir: Path, inputs, artifacts) -> None:
+    """The run's manifest.  Its config holds every option of the command
+    that is set, under the key --config takes for it."""
+    config = {
+        a.dest: getattr(args, a.dest)
+        for a in args._registry[args.command]._actions
+        if a.dest not in _NOT_RUN_CONFIG and getattr(args, a.dest) is not None
+    }
+    write_manifest(outdir, args.command, config, inputs, artifacts)
+
+
 def _match_config(args) -> MatchConfig:
     rounds = args.rounds
     # Only match and meta have the coin alias; evolve's --steps is for RK4.
@@ -157,21 +174,7 @@ def cmd_meta(args) -> int:
         artifacts.append(path)
         totals = record.totals()
         print(f"seed {seed}: A={totals[0]} B={totals[1]}")
-    write_manifest(
-        outdir,
-        "meta",
-        {
-            "providers": str(args.providers),
-            "game": args.game,
-            "rounds": base_cfg.rounds,
-            "meta_rounds": args.meta_rounds,
-            "seed": args.seed,
-            "seeds": args.seeds,
-        },
-        [args.providers],
-        artifacts,
-        __version__,
-    )
+    _write_manifest(args, outdir, [p for p in (args.providers, args.judge_labels) if p], artifacts)
     print(f"records: {outdir}")
     return EXIT_OK
 
@@ -203,7 +206,7 @@ def cmd_label(args) -> int:
     _checked(MatchConfig, rounds=args.rounds)  # the rounds check of the labeling matches
     files = sorted(corpus_dir.glob("*.slang"))
     if args.variants:
-        return _label_variants(args, corpus_dir, files)
+        return _label_variants(args, files)
     if args.trials is not None:
         _checked(labeling.check_trials, args.trials)
     tasks = [(str(p), args.rounds, args.seed, args.trials) for p in files]
@@ -233,7 +236,7 @@ def cmd_label(args) -> int:
     return EXIT_DOMAIN if bad else EXIT_OK
 
 
-def _label_variants(args, corpus_dir: Path, files: list[Path]) -> int:
+def _label_variants(args, files: list[Path]) -> int:
     """`label --variants`: each loadable file is loaded and labeled once."""
     items, origins = [], []
     for path in files:
@@ -246,14 +249,7 @@ def _label_variants(args, corpus_dir: Path, files: list[Path]) -> int:
         origins.append(program.origin)
     outdir = _out_path(args.out, "benchmark")
     written = labeling.write_benchmark(items, outdir)
-    write_manifest(
-        outdir,
-        "label",
-        {"corpus": str(corpus_dir), "rounds": args.rounds, "seed": args.seed, "variants": True},
-        origins,
-        written,
-        __version__,
-    )
+    _write_manifest(args, outdir, origins, written)
     print(f"benchmark: {outdir} ({len(written)} files)")
     return EXIT_DOMAIN if len(origins) < len(files) else EXIT_OK
 
@@ -390,26 +386,7 @@ def cmd_evolve(args) -> int:
     if matrix.size == 3:
         flow_csv, _ = _flow_csv(matrix, args.resolution)
         artifacts.append(atomic_write_text(outdir / "flow.csv", flow_csv))
-    write_manifest(
-        outdir,
-        "evolve",
-        {
-            "matrix": args.matrix,
-            "programs": list(args.programs or ()),
-            "game": args.game,
-            "rounds": args.rounds,
-            "reps": args.reps,
-            "seed": args.seed,
-            "x0": [float(v) for v in x0],
-            "dt": args.dt,
-            "steps": args.steps,
-            "tol": args.tol,
-            "resolution": args.resolution,
-        },
-        [args.matrix] if args.matrix else args.programs,
-        artifacts,
-        __version__,
-    )
+    _write_manifest(args, outdir, [args.matrix] if args.matrix else args.programs, artifacts)
     final = trajectory.final
     summary = ", ".join(f"{t}={v:.4f}" for t, v in zip(matrix.tags, final))
     print(f"final population: {summary}")
@@ -434,16 +411,11 @@ def cmd_flow(args) -> int:
 # parser
 
 
-REPS_HELP = (
-    "seeded samples per ordered pairing. An IPD pairing of two programs that "
-    "cannot draw is seed-free: one played match gives all of its samples, so "
-    "repetitions add information only to pairings with a drawing program "
-    "(and to every coin-game pairing)"
-)
-
-
-def _add_match_options(p, game_default: str = GAME_IPD, rounds_default: int = 10):
-    p.add_argument("--game", choices=GAMES, default=game_default)
+def _add_match_options(p, *, round_robin: bool, rounds_default: int = 10):
+    """The options of a command that plays matches: with --reps for a round
+    robin (tournament, evolve, flow), else with the coin --steps alias and
+    --fallback (match, meta; evolve's --steps counts integration steps)."""
+    p.add_argument("--game", choices=GAMES, default=GAME_IPD)
     p.add_argument("--rounds", type=int, default=rounds_default,
                    help="base-game rounds (coin: steps)")
     p.add_argument("--seed", type=int, default=0)
@@ -452,6 +424,18 @@ def _add_match_options(p, game_default: str = GAME_IPD, rounds_default: int = 10
     p.add_argument("--config", help="JSON file of option defaults")
     p.add_argument("--payoffs", help="T,R,P,S override (default 5,3,1,0)")
     p.add_argument("--board-size", type=int, default=3)
+    if round_robin:
+        p.add_argument(
+            "--reps", type=int, default=1,
+            help="seeded samples per ordered pairing. An IPD pairing of two programs "
+            "that cannot draw is seed-free: one played match gives all of its samples, "
+            "so repetitions add information only to pairings with a drawing program "
+            "(and to every coin-game pairing)",
+        )
+    else:
+        p.add_argument("--steps", type=int, dest="coin_steps",
+                       help="coin game steps (alias for --rounds)")
+        p.add_argument("--fallback", help="action substituted on a runtime fault")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,19 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="play one match between two programs")
     p.add_argument("program_a")
     p.add_argument("program_b")
-    _add_match_options(p)
-    p.add_argument("--steps", type=int, dest="coin_steps",
-                   help="coin game steps (alias for --rounds)")
-    p.add_argument("--fallback", help="action substituted on a runtime fault")
+    _add_match_options(p, round_robin=False)
     p.add_argument("--out", help="match record path (default match.json)")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("meta", help="run a repeated open-source game")
     p.add_argument("providers", help="JSON config naming providers 'a' and 'b'")
-    _add_match_options(p)
-    p.add_argument("--steps", type=int, dest="coin_steps",
-                   help="coin game steps (alias for --rounds)")
-    p.add_argument("--fallback")
+    _add_match_options(p, round_robin=False)
     p.add_argument("--meta-rounds", type=int, default=10)
     p.add_argument("--seeds", type=int, default=1,
                    help="number of independent runs (seed, seed+1, ...)")
@@ -513,33 +491,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tournament", help="round-robin mean-payoff table")
     p.add_argument("programs", nargs="+")
-    _add_match_options(p)
-    p.add_argument("--reps", type=int, default=1, help=REPS_HELP)
+    _add_match_options(p, round_robin=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tournament)
 
-    p = sub.add_parser("evolve", help="replicator dynamics from a matrix or programs")
-    p.add_argument("programs", nargs="*")
-    p.add_argument("--matrix", help="payoff matrix JSON file")
-    _add_match_options(p, rounds_default=evolution.EVOLUTION_ROUNDS)
-    p.add_argument("--reps", type=int, default=1, help=REPS_HELP)
-    p.add_argument("--x0", help="start population a,b,c (default uniform)")
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=20_000)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--resolution", type=int, default=20)
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("flow", help="export a replicator flow field as CSV")
-    p.add_argument("programs", nargs="*")
-    p.add_argument("--matrix")
-    _add_match_options(p, rounds_default=evolution.EVOLUTION_ROUNDS)
-    p.add_argument("--reps", type=int, default=1, help=REPS_HELP)
-    p.add_argument("--resolution", type=int, default=20)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_flow)
+    for name, about, func, out_help in (
+        ("evolve", "replicator dynamics from a matrix or programs", cmd_evolve,
+         "output directory"),
+        ("flow", "export a replicator flow field as CSV", cmd_flow,
+         "CSV path (default: standard output)"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("programs", nargs="*")
+        p.add_argument("--matrix", help="payoff matrix JSON file")
+        _add_match_options(p, round_robin=True, rounds_default=evolution.EVOLUTION_ROUNDS)
+        if name == "evolve":
+            p.add_argument("--x0", help="start population a,b,c (default uniform)")
+            p.add_argument("--dt", type=float, default=0.01)
+            p.add_argument("--steps", type=int, default=20_000)
+            p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--resolution", type=int, default=20)
+        p.add_argument("--out", help=out_help)
+        p.set_defaults(func=func)
 
     parser.set_defaults(_registry=sub.choices)
     return parser
@@ -579,7 +553,8 @@ def _with_config(parser: argparse.ArgumentParser, args, argv: list[str]):
         wanted = _config_type_error(actions[dest], value)
         if wanted is not None:
             raise CliError(f"config option {key!r} must be {wanted}")
-        defaults[dest] = value
+        # an integer for a real option is parsed as --dt 1 would be
+        defaults[dest] = float(value) if actions[dest].type is float else value
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 

@@ -13,6 +13,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from . import __version__
+
 
 def canonical_json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode(
@@ -59,13 +61,12 @@ def write_manifest(
     config: dict,
     inputs: list[str | Path],
     artifacts: list[str | Path],
-    engine_version: str,
 ) -> Path:
     """Record what produced a run directory, so it can be reproduced."""
     outdir = Path(outdir)
     manifest = {
         "schema": "osgames.manifest/1",
-        "engine_version": engine_version,
+        "engine_version": __version__,
         "command": command,
         "config": config,
         "config_hash": sha256_bytes(canonical_json_bytes(config)),

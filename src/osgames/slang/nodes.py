@@ -303,21 +303,3 @@ def _kept(old: tuple, new: tuple) -> tuple:
     """`old` itself if `new` holds the very same items, else `new`."""
     return old if all(map(operator.is_, old, new)) else new
 
-
-def tree_depth(program: Program) -> int:
-    """Maximum nesting depth over statements and expressions (iterative).
-
-    The parser enforces a cap on this, which is what lets every consumer
-    (evaluator, renderer, transforms, metrics) recurse on node structure
-    without risking the host stack on adversarial inputs.
-    """
-    deepest = 0
-    stack: list[tuple[object, int]] = [(d, 1) for d in program.defs]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        depth += 1
-        stack.extend((child, depth) for child in child_exprs(node))
-        for block in child_blocks(node):
-            stack.extend((s, depth) for s in block)
-    return deepest

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from osgames import _pool, evolution
+from osgames import _pool, evolution, labeling
 from osgames.cli import _match_config, build_parser, main
 from osgames.fixtures import corpus_dir, corpus_path, ipd_corpus_dir
 
@@ -41,6 +41,18 @@ def test_match_prints_totals_and_writes_record(tmp_path, capsys, monkeypatch):
     assert ": 9" in out and ": 14" in out
     record = json.loads((tmp_path / "match.json").read_text())
     assert record["totals"] == [9, 14]
+
+
+def test_match_payoffs_override(tmp_path, capsys):
+    out = tmp_path / "match.json"
+    code, _, _ = run(
+        ["match", TFT, ALLD, "--rounds", "10", "--payoffs", "4,3,1,0", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    record = json.loads(out.read_text())
+    assert record["config"]["payoffs"] == {"T": 4, "R": 3, "P": 1, "S": 0}
+    assert record["totals"] == [9, 13]  # 14 with the default T = 5
 
 
 def test_match_missing_file_exit_2(capsys):
@@ -650,6 +662,10 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         (["match", "--game", "coin", "--board-size", "1", *COIN],
          "board size must be at least 2"),
         (["match", TFT, ALLD, "--step-limit", "0"], "budget limits must be strictly positive"),
+        (["match", TFT, ALLD, "--payoffs", "1,2"], "bad --payoffs '1,2'"),
+        (["match", TFT, ALLD, "--payoffs", "a,b,c,d"], "bad --payoffs 'a,b,c,d'"),
+        (["match", TFT, ALLD, "--payoffs", "7,3,1,0"],
+         "bad --payoffs '7,3,1,0': payoffs must satisfy 2R > T + S"),
     ],
     ids=[
         "label-rounds", "label-variants-rounds", "label-config-rounds", "label-jobs",
@@ -657,7 +673,8 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-dt-nan", "evolve-dt-inf",
         "evolve-x0-nan", "evolve-resolution", "flow-resolution", "flow-two-types",
         "evolve-matrix-and-programs", "flow-matrix-and-programs", "evolve-neither",
-        "match-board-size", "match-step-limit",
+        "match-board-size", "match-step-limit", "match-payoffs-two", "match-payoffs-letters",
+        "match-payoffs-2r",
     ],
 )
 def test_out_of_range_option_exit_2(tmp_path, capsys, monkeypatch, argv, message):
@@ -746,9 +763,10 @@ def test_config_file_defaults(tmp_path, capsys):
         (["tournament", TFT, ALLD], {"game": "chess"}, "'game' must be one of ['ipd', 'coin']"),
         (["tournament", TFT, ALLD], {"programs": TFT}, "'programs' must be a list of strings"),
         (["label", str(ipd_corpus_dir())], {"variants": "no"}, "'variants' must be true or false"),
+        (["evolve", ALLC, ALLD, TFT], {"dt": "fast"}, "'dt' must be a number"),
     ],
     ids=["float-rounds", "bool-rounds", "int-payoffs", "list-jobs", "not-object", "game-choice",
-         "programs-string", "flag-string"],
+         "programs-string", "flag-string", "string-dt"],
 )
 def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, command, config, named):
     path = tmp_path / "config.json"
@@ -766,6 +784,116 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(["match", TFT, ALLD, "--config", str(config)], capsys)
     assert code == 2
     assert "no_such_option" in err
+
+
+def _run_files(tmp_path) -> dict[str, str]:
+    """Input files for the manifest tests, by the placeholder that names them."""
+    files = {
+        "{ipd}": {"a": STATIC_TFT, "b": {"kind": "static", "path": ALLD}},
+        "{coin}": {"a": {"kind": "static", "path": COIN[0]},
+                   "b": {"kind": "static", "path": COIN[1]}},
+        "{judge}": [{"meta_round": 1, "player": "a", "labels": {"direct_imitation": True}}],
+        "{matrix}": {"tags": ["a", "b", "c"], "matrix": [[1, 0, 2], [2, 1, 0], [0, 2, 1]]},
+    }
+    for name, content in files.items():
+        path = tmp_path / f"{name.strip('{}')}.json"
+        path.write_text(json.dumps(content))
+        files[name] = str(path)
+    return files
+
+
+def _manifest(argv, out, capsys) -> dict:
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 0, err
+    return json.loads((out / "manifest.json").read_text())
+
+
+META = ["--meta-rounds", "2", "--rounds", "3"]
+EVOLVE = [ALLC, ALLD, TFT, "--rounds", "5", "--steps", "20"]
+
+
+@pytest.mark.parametrize(
+    "argv, option, dest",
+    [
+        (["meta", "{ipd}", *META], ["--payoffs", "4,3,1,0"], "payoffs"),
+        (["meta", "{ipd}", *META], ["--step-limit", "5000"], "step_limit"),
+        (["meta", "{ipd}", *META], ["--fallback", "C"], "fallback"),
+        (["meta", "{ipd}", *META], ["--judge-labels", "{judge}"], "judge_labels"),
+        (["meta", "{coin}", *META, "--game", "coin"], ["--board-size", "4"], "board_size"),
+        (["meta", "{coin}", *META, "--game", "coin"], ["--steps", "4"], "coin_steps"),
+        (["evolve", *EVOLVE], ["--x0", "0.2,0.3,0.5"], "x0"),
+        (["evolve", *EVOLVE], ["--reps", "2"], "reps"),
+        (["evolve", *EVOLVE], ["--payoffs", "4,3,1,0"], "payoffs"),
+        (["evolve", *EVOLVE], ["--step-limit", "5000"], "step_limit"),
+    ],
+    ids=["meta-payoffs", "meta-step-limit", "meta-fallback", "meta-judge-labels",
+         "meta-board-size", "meta-coin-steps", "evolve-x0", "evolve-reps", "evolve-payoffs",
+         "evolve-step-limit"],
+)
+def test_manifest_config_names_each_option_the_run_was_given(
+    tmp_path, capsys, argv, option, dest
+):
+    files = _run_files(tmp_path)
+    argv = [files.get(arg, arg) for arg in argv]
+    option = [files.get(arg, arg) for arg in option]
+    before = _manifest(argv, tmp_path / "before", capsys)["config"]
+    after = _manifest([*argv, *option], tmp_path / "after", capsys)["config"]
+    changed = {k for k in before.keys() | after.keys() if before.get(k) != after.get(k)}
+    assert changed == {dest}
+    assert str(after[dest]) == option[1]  # the value as given, parsed by its type
+
+
+@pytest.mark.parametrize(
+    "argv, positionals",
+    [
+        (["meta", "{ipd}", *META, "--seeds", "2", "--payoffs", "4,3,1,0", "--fallback", "C",
+          "--judge-labels", "{judge}"], 2),
+        (["meta", "{coin}", *META, "--game", "coin", "--board-size", "4", "--steps", "5"], 2),
+        (["evolve", *EVOLVE, "--x0", "0.2,0.3,0.5", "--payoffs", "4,3,1,0", "--reps", "2"], 1),
+        (["evolve", "--matrix", "{matrix}", "--steps", "30", "--tol", "1e-6",
+          "--resolution", "5"], 1),
+    ],
+    ids=["meta-ipd", "meta-coin", "evolve-programs", "evolve-matrix"],
+)
+def test_manifest_config_reruns_the_command_byte_for_byte(tmp_path, capsys, argv, positionals):
+    """Required positionals stay on the command line; every other option
+    comes from the manifest."""
+    files = _run_files(tmp_path)
+    argv = [files.get(arg, arg) for arg in argv]
+    first, second = tmp_path / "first", tmp_path / "second"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_manifest(argv, first, capsys)["config"]))
+    rerun = _manifest([*argv[:positionals], "--config", str(config)], second, capsys)
+    assert not {"out", "config", "jobs"} & rerun["config"].keys()
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_config_integer_for_a_real_option_gives_the_manifest_of_the_flag(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dt": 1}))
+    _manifest(["evolve", *EVOLVE, "--config", str(config)], tmp_path / "a", capsys)
+    _manifest(["evolve", *EVOLVE, "--dt", "1"], tmp_path / "b", capsys)
+    manifest = (tmp_path / "a" / "manifest.json").read_bytes()
+    assert manifest == (tmp_path / "b" / "manifest.json").read_bytes()
+    assert b'"dt": 1.0,' in manifest
+
+
+def test_label_manifest_config_leaves_out_out_config_and_jobs(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in (TFT, ALLD):
+        (corpus / Path(path).name).write_text(Path(path).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rounds": 3}))
+    argv = ["label", str(corpus), "--variants", "--jobs", "2", "--config", str(config)]
+    manifest = _manifest(argv, tmp_path / "bench", capsys)
+    assert manifest["config"] == {
+        "corpus": str(corpus), "rounds": 3, "seed": labeling.DEFAULT_LABEL_SEED,
+        "variants": True,
+    }
 
 
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):

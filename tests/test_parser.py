@@ -29,6 +29,21 @@ def count_nodes(tree, node_type):
     return total
 
 
+def tree_depth(program: n.Program) -> int:
+    """Maximum nesting depth over statements and expressions, walked
+    iteratively over the finished tree."""
+    deepest = 0
+    stack: list[tuple[object, int]] = [(d, 1) for d in program.defs]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        depth += 1
+        stack.extend((child, depth) for child in n.child_exprs(node))
+        for block in n.child_blocks(node):
+            stack.extend((s, depth) for s in block)
+    return deepest
+
+
 def test_tft_shape():
     tree = parse_source(TFT)
     assert len(tree.defs) == 1
@@ -188,7 +203,7 @@ def test_adversarial_nesting_rejected_cleanly():
     ids=["chain", "index", "call", "list", "neg"],
 )
 def test_tree_depth_cap_matches_tree_depth(shape, blocks):
-    # The parser counts depth as it goes; n.tree_depth walks the finished
+    # The parser counts depth as it goes; tree_depth walks the finished
     # tree.  The deepest accepted program must sit exactly at the cap.
     def program(k, tail=""):
         body = "if x {\n" * blocks + f"return {shape(k)}\n" + "}\n" * blocks
@@ -197,7 +212,7 @@ def test_tree_depth_cap_matches_tree_depth(shape, blocks):
     # the function, its ifs and the return take 2 + blocks levels, and the
     # returned expression is k + 1 high
     k = MAX_TREE_DEPTH - 3 - blocks
-    assert n.tree_depth(parse_source(program(k))) == MAX_TREE_DEPTH
+    assert tree_depth(parse_source(program(k))) == MAX_TREE_DEPTH
     text = program(k + 1)
     with pytest.raises(ParseError) as exc:
         parse_source(text)

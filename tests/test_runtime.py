@@ -111,6 +111,25 @@ def test_type_errors():
     assert fault_of('fn strategy() { return true and 1 }').kind is FaultKind.TYPE_ERROR
 
 
+# "«" and "»" mark the span that should carry the fault; they are cut before parsing.
+@pytest.mark.parametrize(
+    "marked, detail",
+    [
+        ("fn strategy() {\n    while «1» {\n    }\n}\n",
+         "condition must be boolean, got integer"),
+        ("fn strategy() {\n    let x = 1\n    while true {\n        x = «x + x»\n    }\n}\n",
+         "integer magnitude cap (2^256) exceeded"),
+    ],
+    ids=["while-condition", "plus-int-cap"],
+)
+def test_type_fault_kind_span_and_detail(marked, detail):
+    src = marked.replace("«", "").replace("»", "")
+    fault = fault_of(src)
+    assert fault.kind is FaultKind.TYPE_ERROR
+    assert (fault.span.start, fault.span.end) == (marked.index("«"), marked.index("»") - 1)
+    assert fault.detail == detail
+
+
 def test_invalid_return():
     fault = fault_of('fn strategy() { return "X" }')
     assert fault.kind is FaultKind.INVALID_RETURN
