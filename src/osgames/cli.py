@@ -174,9 +174,25 @@ def cmd_meta(args) -> int:
         artifacts.append(path)
         totals = record.totals()
         print(f"seed {seed}: A={totals[0]} B={totals[1]}")
-    _write_manifest(args, outdir, [p for p in (args.providers, args.judge_labels) if p], artifacts)
+    inputs = [args.providers, *_program_paths(spec)]
+    if args.judge_labels:
+        inputs.append(args.judge_labels)
+    _write_manifest(args, outdir, inputs, artifacts)
     print(f"records: {outdir}")
     return EXIT_OK
+
+
+def _program_paths(spec: dict) -> list[str]:
+    """The program files the static and scripted providers of a checked
+    providers config read: each 'path' that no 'source' overrides."""
+    entries = []
+    for provider in (spec["a"], spec["b"]):
+        kind = provider.get("kind", "static")
+        if kind == "static":
+            entries.append(provider)
+        elif kind == "scripted":
+            entries += provider["schedule"]
+    return [e["path"] for e in entries if not isinstance(e.get("source"), str)]
 
 
 def _label_one(path_str: str, rounds: int, seed: int, trials: int | None):
@@ -200,6 +216,8 @@ def _label_one(path_str: str, rounds: int, seed: int, trials: int | None):
 
 
 def cmd_label(args) -> int:
+    if args.variants and args.trials is not None:
+        raise CliError("--trials does not apply to --variants")
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise CliError(f"corpus directory not found: {corpus_dir}")

@@ -6,16 +6,22 @@ are the standard replicator equation
 
     dx_i/dt = x_i * ((Ax)_i - x^T A x)
 
-(types above the population-mean payoff grow).  Trajectories are integrated
-with fixed-step RK4 and projected back onto the simplex each step by
-clipping tiny negatives and renormalizing.  Fixed points are found by
-enumerating supports of size 1 to 3 and solving each one's equal-fitness
-linear system (a vertex is a support of size 1); a singular system is
-reported as a fixed continuum rather than a point.
+(types above the population-mean payoff grow).  The field is computed in one
+fixed order with no BLAS call: each fitness (Ax)_i is summed left to right
+over j, and the mean fitness with math.fsum, which rounds correctly.  So the
+trajectories and flow fields are the same bytes whatever BLAS kernel or SIMD
+extensions numpy runs with.  Trajectories are integrated with fixed-step RK4;
+after each step every share below the normal range of floats (2^-1022,
+negatives included) is set to zero and the state is renormalized onto the
+simplex.  Fixed points are found by enumerating supports of size 1 to 3
+and solving each one's equal-fitness linear system (a vertex is a support
+of size 1); a singular system is reported as a fixed continuum rather than
+a point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,6 +32,9 @@ from .program import StrategyProgram
 
 #: Match length used when estimating payoff matrices for evolution runs.
 EVOLUTION_ROUNDS = 50
+
+#: The smallest normal float; integrate sets shares below it to zero.
+_TINY = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,41 @@ def _payoffs(matrix: PayoffMatrix | np.ndarray) -> np.ndarray:
     return matrix.a if isinstance(matrix, PayoffMatrix) else np.asarray(matrix, dtype=float)
 
 
-def _field(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The replicator field x * (Ax - x^T A x), the one place it is computed."""
-    fitness = a @ x
-    return x * (fitness - x @ fitness)
+def _fsum(values: list[float]) -> float:
+    """math.fsum's correctly rounded sum, or nan where it has none (inf - inf
+    or an overflow)."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _field(a_t, z, z_col, out, m, fitness) -> np.ndarray:
+    """Write the replicator field z * (Az - z^T A z) into out and return out.
+
+    The one place the field is computed.  a_t is A^T made C-contiguous and
+    z_col is z viewed as an (n, 1) column; m (n, n) and fitness (n,) are
+    scratch.  Adding the rows of A^T * z one after another sums each (Az)_i
+    left to right over j, one lane per i, so neither BLAS nor the SIMD width
+    changes the bytes; z^T A z is math.fsum's correctly rounded sum.
+    """
+    np.multiply(a_t, z_col, m)
+    np.add.reduce(m, axis=0, out=fitness)
+    mean = _fsum(np.multiply(z, fitness, out).tolist())
+    np.subtract(fitness, mean, fitness)
+    return np.multiply(z, fitness, out)
+
+
+def _field_at(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The replicator field at x, in new arrays."""
+    n = a.shape[0]
+    a_t = np.ascontiguousarray(a.T)
+    return _field(a_t, x, x.reshape(n, 1), np.empty(n), np.empty((n, n)), np.empty(n))
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of v, in one fixed order."""
+    return math.sqrt(_fsum([c * c for c in v.tolist()]))
 
 
 def replicator_derivative(matrix: PayoffMatrix | np.ndarray, x) -> np.ndarray:
@@ -109,7 +149,7 @@ def replicator_derivative(matrix: PayoffMatrix | np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (a.shape[0],):
         raise ValueError("population vector does not match the matrix size")
-    return _field(a, x)
+    return _field_at(a, x)
 
 
 @dataclass(frozen=True)
@@ -138,23 +178,40 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step classical Runge-Kutta (RK4) integration on the simplex.
 
-    Every stored state is clipped (tiny negatives to zero) and renormalized,
-    so the simplex invariants hold along the whole trajectory.
+    A step is x + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), in that order.  Each
+    share of it below 2^-1022 (negatives included) is set to +0.0, and the
+    state divided by its math.fsum total is stored, so the simplex
+    invariants hold along the whole trajectory; states[0] is x0 as given.
+    Every buffer is allocated before the loop.
     """
     a = _payoffs(matrix)
     check_steps(dt, steps)
-    x = _as_simplex(x0, a.shape[0])
-    states = np.empty((steps + 1, a.shape[0]))
-    states[0] = x
-    for k in range(1, steps + 1):
-        k1 = _field(a, x)
-        k2 = _field(a, x + 0.5 * dt * k1)
-        k3 = _field(a, x + 0.5 * dt * k2)
-        k4 = _field(a, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = np.clip(x, 0.0, None)
-        x = x / x.sum()
-        states[k] = x
+    n = a.shape[0]
+    states = np.empty((steps + 1, n))
+    states[0] = _as_simplex(x0, n)
+    x = states[0]
+    a_t = np.ascontiguousarray(a.T)
+    z = np.empty(n)
+    z_col = z.reshape(n, 1)
+    m, fitness = np.empty((n, n)), np.empty(n)
+    k, slope = np.empty(n), np.empty(n)
+    low = np.empty(n, dtype=bool)
+    half, sixth = 0.5 * dt, dt / 6.0
+    for row in states[1:]:
+        # slope sums ((k1 + 2 k2) + 2 k3) + k4; z holds each stage's input
+        _field(a_t, x, x[:, None], slope, m, fitness)  # k1
+        np.add(x, np.multiply(slope, half, z), z)
+        _field(a_t, z, z_col, k, m, fitness)  # k2
+        np.add(x, np.multiply(k, half, z), z)
+        np.add(slope, np.multiply(k, 2.0, k), slope)
+        _field(a_t, z, z_col, k, m, fitness)  # k3
+        np.add(x, np.multiply(k, dt, z), z)
+        np.add(slope, np.multiply(k, 2.0, k), slope)
+        _field(a_t, z, z_col, k, m, fitness)  # k4
+        np.add(slope, k, slope)
+        np.add(x, np.multiply(slope, sixth, slope), slope)
+        np.copyto(slope, 0.0, where=np.less(slope, _TINY, low))
+        x = np.divide(slope, _fsum(slope.tolist()), row)
     times = np.arange(steps + 1) * dt
     return Trajectory(times, states)
 
@@ -188,8 +245,8 @@ def flow_field(matrix: PayoffMatrix | np.ndarray, resolution: int) -> list[FlowS
         for j in range(resolution + 1 - i):
             k = resolution - i - j
             x = np.array([i, j, k], dtype=float) / resolution
-            xdot = _field(a, x)
-            samples.append(FlowSample(x, xdot, float(np.linalg.norm(xdot))))
+            xdot = _field_at(a, x)
+            samples.append(FlowSample(x, xdot, _norm(xdot)))
     return samples
 
 
@@ -301,7 +358,7 @@ def fixed_points(
             if isinstance(x, str):
                 continua.append(FixedContinuum(support, kind))
             elif x is not None:
-                residual = float(np.linalg.norm(_field(a, x)))
+                residual = _norm(_field_at(a, x))
                 points.append(FixedPoint(x, residual, kind, _stability(a, x, tol)))
     return FixedPointReport(tuple(points), tuple(continua))
 

@@ -188,7 +188,7 @@ def test_label_variants_labels_each_program_once(tmp_path, capsys, monkeypatch):
         (corpus / f"{name}.slang").write_text(corpus_path(f"ipd/{name}.slang").read_text())
     (corpus / "broken.slang").write_text("fn strategy( {")
     code, _, err = run(
-        ["label", str(corpus), "--variants", "--trials", "3", "--out", str(tmp_path / "b")],
+        ["label", str(corpus), "--variants", "--out", str(tmp_path / "b")],
         capsys,
     )
     assert code == 1 and "broken" in err
@@ -511,6 +511,26 @@ def test_meta_with_providers_config(tmp_path, capsys):
     assert manifest["command"] == "meta"
 
 
+@pytest.mark.parametrize("kind", ["static", "scripted"])
+def test_meta_manifest_hashes_the_provider_program_files(tmp_path, capsys, kind):
+    program = tmp_path / "p.slang"
+    spec = {"kind": "static", "path": str(program)}
+    if kind == "scripted":
+        spec = {"kind": "scripted", "schedule": [{"from_round": 1, "path": str(program)}]}
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps({"a": spec, "b": STATIC_TFT}))
+    manifests = []
+    for name, source in (("tft", TFT), ("allc", ALLC)):
+        program.write_text(Path(source).read_text())
+        outdir = tmp_path / name
+        code, _, err = run(["meta", str(providers), "--meta-rounds", "2", "--out", str(outdir)],
+                           capsys)
+        assert code == 0, err
+        manifests.append(json.loads((outdir / "manifest.json").read_text()))
+    assert sorted(manifests[0]["inputs"]) == sorted([str(providers), str(program), TFT])
+    assert manifests[0]["inputs"][str(program)] != manifests[1]["inputs"][str(program)]
+
+
 def test_meta_external_provider_loopback(tmp_path, capsys):
     import sys
 
@@ -642,6 +662,8 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         (["label", str(ipd_corpus_dir()), "--jobs", "0"], "jobs must be at least 1"),
         (["label", str(ipd_corpus_dir()), "--trials", "-2"], "trials must be at least 1"),
         (["label", str(ipd_corpus_dir()), "--trials", "0"], "trials must be at least 1"),
+        (["label", str(ipd_corpus_dir()), "--variants", "--trials", "3"],
+         "--trials does not apply to --variants"),
         (["meta", "{providers}", "--seeds", "0"], "seeds must be at least 1"),
         (["meta", "{providers}", "--seeds", "-3"], "seeds must be at least 1"),
         (["tournament", ALLC, ALLD, "--jobs", "-5"], "jobs must be at least 1"),
@@ -669,7 +691,8 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
     ],
     ids=[
         "label-rounds", "label-variants-rounds", "label-config-rounds", "label-jobs",
-        "label-trials", "label-trials-zero", "meta-seeds", "meta-seeds-negative",
+        "label-trials", "label-trials-zero", "label-variants-trials", "meta-seeds",
+        "meta-seeds-negative",
         "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-dt-nan", "evolve-dt-inf",
         "evolve-x0-nan", "evolve-resolution", "flow-resolution", "flow-two-types",
         "evolve-matrix-and-programs", "flow-matrix-and-programs", "evolve-neither",

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import osgames
 from osgames.arena import MatchConfig, round_robin
 from osgames.evolution import (
     EVOLUTION_ROUNDS,
@@ -91,8 +99,93 @@ def test_dimension_mismatch_rejected():
 
 
 def test_vertex_start_is_constant():
-    traj = integrate(CLASSIC, [1.0, 0.0, 0.0], dt=0.01, steps=500)
-    assert np.all(traj.states == traj.states[0])
+    for vertex in np.eye(3):  # byte for byte, so no share turns into -0.0
+        states = integrate(CLASSIC, vertex, dt=0.01, steps=500).states
+        assert states.tobytes() == np.tile(vertex, (501, 1)).tobytes()
+
+
+TINY = 2.0**-1022  # the smallest normal float
+
+
+def reference_trajectory(a, x0, dt, steps):
+    """integrate's trajectory in plain Python floats, as lists of rows.
+
+    Each fitness is summed left to right, starting from its first product;
+    the mean fitness and the renormalizing total are math.fsum's; a step is
+    x + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), and its shares below 2^-1022
+    are set to +0.0 before the state is divided by its total.
+    """
+    a = [[float(v) for v in row] for row in a]
+    n = len(a)
+    x = [float(v) for v in x0]
+
+    def field(z):
+        fitness = []
+        for row in a:
+            total = row[0] * z[0]
+            for j in range(1, n):
+                total += row[j] * z[j]
+            fitness.append(total)
+        mean = math.fsum([zi * fi for zi, fi in zip(z, fitness)])
+        return [zi * (fi - mean) for zi, fi in zip(z, fitness)]
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    rows = [x]
+    for _ in range(steps):
+        k1 = field(x)
+        k2 = field([xi + half * ki for xi, ki in zip(x, k1)])
+        k3 = field([xi + half * ki for xi, ki in zip(x, k2)])
+        k4 = field([xi + dt * ki for xi, ki in zip(x, k3)])
+        y = [
+            xi + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+            for xi, p, q, r, s in zip(x, k1, k2, k3, k4)
+        ]
+        y = [0.0 if v < TINY else v for v in y]
+        total = math.fsum(y)
+        x = [v / total for v in y]
+        rows.append(x)
+    return rows
+
+
+def _flushed_shares(states) -> int:
+    """How many times a share at or above 2^-1022 is 0 one step later."""
+    return int(np.sum((states[:-1] >= TINY) & (states[1:] == 0.0)))
+
+
+def test_integrate_equals_the_plain_python_reference():
+    rng = np.random.default_rng(0)
+    runs = [
+        (CLASSIC.a, np.full(3, 1 / 3)),
+        (rng.integers(0, 50, size=(6, 6)).astype(float), np.full(6, 1 / 6)),
+        (rng.uniform(0, 50, size=(20, 20)), rng.dirichlet(np.ones(20))),
+    ]
+    flushed = 0
+    for a, x0 in runs:
+        states = integrate(a, x0, dt=0.01, steps=2000).states
+        want = np.array(reference_trajectory(a, x0, 0.01, 2000))
+        assert states.tobytes() == want.tobytes()
+        flushed += _flushed_shares(states)
+    assert flushed > 0  # some share crossed 2^-1022 and was set to zero
+
+
+@pytest.mark.parametrize(
+    "x0, index",
+    [([0.5, 0.5, 5e-324], 2), ([-0.0, 0.5, 0.5], 0), ([-1e-12, 0.5 + 1e-12, 0.5], 0)],
+    ids=["subnormal", "negative-zero", "negative"],
+)
+def test_start_share_below_normal_is_kept_then_positive_zero(x0, index):
+    states = integrate(CLASSIC, x0, dt=0.01, steps=50).states
+    assert states[0].tobytes() == np.array(x0).tobytes()  # states[0] is x0 as given
+    assert states[1:, index].tobytes() == np.zeros(50).tobytes()  # +0.0 from step 1
+
+
+def test_no_stored_share_has_its_sign_bit_set():
+    rng = np.random.default_rng(5)
+    for n in (3, 6, 20):
+        a = rng.integers(0, 50, size=(n, n)).astype(float)
+        states = integrate(a, rng.dirichlet(np.ones(n)), dt=0.01, steps=3000).states
+        assert not np.signbit(states).any()
+        assert np.all((states == 0.0) | (states >= TINY))
 
 
 def test_dominance_forces_convergence():
@@ -124,6 +217,14 @@ def test_uniform_start_converges_to_mixed_edge_state(uniform_start_tft_limit):
     assert abs(final[2] - uniform_start_tft_limit) <= 1e-7
 
 
+def test_overflowing_field_gives_nan_states_not_an_exception():
+    # In the second stage z^T A z sums +inf and -inf, which math.fsum rejects.
+    a = PayoffMatrix(("up", "down"), [[1.7e308, 0.0], [1.7e308, -1.7e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = integrate(a, [0.5, 0.5], dt=0.01, steps=3).states
+    assert np.isnan(states[1:]).all()
+
+
 def test_integrate_input_validation():
     with pytest.raises(ValueError):
         integrate(CLASSIC, [0.5, 0.5, 0.5])  # not on the simplex
@@ -138,6 +239,50 @@ def test_integrate_input_validation():
 def test_integrate_rejects_non_finite_inputs(x0, dt):
     with pytest.raises(ValueError):
         integrate(CLASSIC, x0, dt=dt, steps=10)
+
+
+_CHILD = """
+import hashlib
+import numpy as np
+from osgames.evolution import flow_field, integrate
+a = np.array(%s)
+digest = hashlib.sha256(integrate(a, np.full(20, 0.05), steps=300).states.tobytes())
+for sample in flow_field(a[:3, :3], 12):
+    digest.update(np.concatenate([sample.x, sample.xdot, [sample.strength]]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _found_cpu_features() -> list[str]:
+    """The SIMD extensions numpy dispatches to on this CPU beyond its baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    return [f for f in getattr(umath, "__cpu_dispatch__", []) if features.get(f)]
+
+
+def test_trajectory_and_flow_bytes_do_not_depend_on_blas_or_simd():
+    """integrate and flow_field give the same bytes in child processes under
+    different OpenBLAS kernels and with numpy's SIMD dispatch switched off."""
+    a = np.random.default_rng(2).uniform(0, 50, size=(20, 20))
+    code = _CHILD % json.dumps(a.tolist())
+    src = str(Path(osgames.__file__).resolve().parent.parent)
+    settings = [{}, {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}]
+    found = _found_cpu_features()
+    if found:
+        settings.append({"NPY_DISABLE_CPU_FEATURES": ",".join(found)})
+    digests = []
+    for setting in settings:
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env.update(setting, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, (setting, done.stderr)
+        digests.append(done.stdout.strip())
+    assert len(set(digests)) == 1, dict(zip(map(str, settings), digests))
 
 
 # --------------------------------------------------------------------------
