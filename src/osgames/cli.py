@@ -32,7 +32,7 @@ from .metagame import MetaGameError, merge_judge_labels, run_meta_game
 from .program import ProgramError, load_program_file, read_source_file
 from .providers import ProviderError, provider_from_spec
 from .rng import SplitMix64
-from .runio import atomic_write_json, atomic_write_text, write_manifest
+from .runio import atomic_write_json, atomic_write_text, canonical_json_bytes, write_manifest
 from .runtime import Budget
 from .slang import parse_source, render
 from .slang.validator import GAME_IPD, GAMES
@@ -278,7 +278,7 @@ def cmd_metrics(args) -> int:
     if args.format == "csv":
         print(_csv_text(list(report), [list(report.values())]), end="")
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(canonical_json_bytes(report).decode("utf-8"), end="")
     return EXIT_OK
 
 
@@ -368,9 +368,17 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _overflow(what: str) -> CliError:
+    """The error for payoffs near the float maximum, which overflow the
+    replicator arithmetic to inf or nan."""
+    return CliError(f"{what} overflows float arithmetic; scale the payoff matrix down")
+
+
 def _flow_csv(matrix: evolution.PayoffMatrix, resolution: int) -> tuple[str, int]:
     """The flow field's CSV text and its number of samples."""
     rows = evolution.flow_rows(evolution.flow_field(matrix, resolution))
+    if not np.all(np.isfinite(rows)):
+        raise _overflow("the flow field")
     tags = matrix.tags
     header = [f"x_{t}" for t in tags] + [f"dx_{t}" for t in tags] + ["strength"]
     return _csv_text(header, rows), len(rows)
@@ -388,6 +396,17 @@ def cmd_evolve(args) -> int:
     _checked(evolution.check_steps, args.dt, args.steps)  # before the round robin
     matrix, x0 = _matrix_from_args(args, lambda size: _evolve_start(args, size))
     trajectory = _checked(evolution.integrate, matrix, x0, dt=args.dt, steps=args.steps)
+    if not np.all(np.isfinite(trajectory.states)):
+        raise _overflow("the replicator trajectory")
+    # every output is computed before any is written, so an overflow leaves no run directory
+    report = flow_csv = None
+    if matrix.size <= 3:
+        try:
+            report = evolution.fixed_points(matrix, tol=args.tol)
+        except np.linalg.LinAlgError as exc:  # eigenvalues of a non-finite Jacobian
+            raise _overflow("the fixed points' stability analysis") from exc
+    if matrix.size == 3:
+        flow_csv, _ = _flow_csv(matrix, args.resolution)
     outdir = _out_path(args.out, "evolve_run")
     trajectory_csv = _csv_text(
         ["t"] + [f"x_{t}" for t in matrix.tags], evolution.trajectory_rows(trajectory)
@@ -396,13 +415,11 @@ def cmd_evolve(args) -> int:
         atomic_write_json(outdir / "payoff_matrix.json", matrix.to_json_dict()),
         atomic_write_text(outdir / "trajectory.csv", trajectory_csv),
     ]
-    if matrix.size <= 3:
-        report = evolution.fixed_points(matrix, tol=args.tol)
+    if report is not None:
         artifacts.append(
             atomic_write_json(outdir / "fixed_points.json", report.to_json_dict())
         )
-    if matrix.size == 3:
-        flow_csv, _ = _flow_csv(matrix, args.resolution)
+    if flow_csv is not None:
         artifacts.append(atomic_write_text(outdir / "flow.csv", flow_csv))
     _write_manifest(args, outdir, [args.matrix] if args.matrix else args.programs, artifacts)
     final = trajectory.final

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from osgames import _pool, evolution, labeling
+from osgames import _pool, evolution, labeling, metrics as metrics_mod
 from osgames.cli import _match_config, build_parser, main
 from osgames.fixtures import corpus_dir, corpus_path, ipd_corpus_dir
+from osgames.program import load_program_file
 
 TFT = str(corpus_path("ipd/tft.slang"))
 ALLC = str(corpus_path("ipd/allc.slang"))
@@ -252,6 +253,17 @@ def test_metrics_comparator_osas(capsys):
     assert report["osas_total_sites"] == 3
 
 
+CORPUS_PROGRAMS = sorted(corpus_dir().rglob("*.slang"))
+
+
+@pytest.mark.parametrize("path", CORPUS_PROGRAMS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_metrics_json_bytes_are_json_dumps(path, capsys):
+    report = metrics_mod.collect(load_program_file(path, game=None).tree).to_flat_dict()
+    code, out, _ = run(["metrics", str(path)], capsys)
+    assert code == 0
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_metrics_csv(capsys):
     code, out, _ = run(["metrics", ALLC, "--format", "csv"], capsys)
     assert code == 0
@@ -405,6 +417,25 @@ def test_evolve_rejects_nan_matrix(tmp_path, capsys):
     code, _, err = run(["evolve", "--matrix", str(matrix)], capsys)
     assert code == 2
     assert "matrix" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    ("command", "rows", "what"),
+    [
+        ("evolve", [[1e308, 0, 1e308], [1.7e308, 10, 14], [30, 9, 1e308]],
+         "the replicator trajectory"),
+        ("evolve", [[1e308, 1e308], [1e308, 1e308]], "the fixed points' stability analysis"),
+        ("flow", [[1e308, 0, 1e308], [1.7e308, 10, 14], [30, 9, 1e308]], "the flow field"),
+    ],
+)
+def test_payoffs_that_overflow_exit_2_naming_it(tmp_path, capsys, command, rows, what):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"tags": list("abc")[: len(rows)], "matrix": rows}))
+    code, _, err = run([command, "--matrix", str(matrix), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert f"error: {what} overflows float arithmetic" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["evolve", "flow"])
