@@ -30,7 +30,7 @@ from ._pool import pool_map
 from .arena import ArenaError, MatchConfig, play_match, round_robin
 from .metagame import MetaGameError, merge_judge_labels, run_meta_game
 from .program import ProgramError, load_program_file, read_source_file
-from .providers import ProviderError, provider_from_spec
+from .providers import ProviderError, providers_from_config
 from .rng import SplitMix64
 from .runio import atomic_write_json, atomic_write_text, canonical_json_bytes, write_manifest
 from .runtime import Budget
@@ -147,8 +147,6 @@ def cmd_meta(args) -> int:
     if args.seeds < 1:
         raise CliError("seeds must be at least 1")
     spec = _read_json(args.providers, "providers config")
-    if not isinstance(spec, dict) or "a" not in spec or "b" not in spec:
-        raise CliError("providers config must name providers 'a' and 'b'")
     sidecar = None
     if args.judge_labels:
         sidecar = _read_json(args.judge_labels, "judge labels")
@@ -159,22 +157,20 @@ def cmd_meta(args) -> int:
     artifacts = []
     for i in range(args.seeds):
         seed = args.seed + i
-        prov_a = provider_from_spec(spec["a"], "a")
-        prov_b = provider_from_spec(spec["b"], "b")
+        prov_a, prov_b = providers_from_config(spec)
         cfg = dataclasses.replace(base_cfg, seed=seed)
         record = run_meta_game(prov_a, prov_b, args.meta_rounds, cfg)
         if sidecar is not None:
             try:
-                entries = [e for e in sidecar if "seed" not in e or int(e["seed"]) == seed]
-                record = merge_judge_labels(record, entries)
-            except (MetaGameError, TypeError, ValueError) as exc:  # or a seed int() rejects
+                record = merge_judge_labels(record, sidecar)
+            except MetaGameError as exc:
                 raise CliError(f"bad judge labels {args.judge_labels}: {exc}") from exc
         path = outdir / f"meta_seed{seed}.json"
         atomic_write_json(path, record.to_json_dict())
         artifacts.append(path)
         totals = record.totals()
         print(f"seed {seed}: A={totals[0]} B={totals[1]}")
-    inputs = [args.providers, *_program_paths(spec)]
+    inputs = [args.providers, *prov_a.inputs, *prov_b.inputs]
     if args.judge_labels:
         inputs.append(args.judge_labels)
     _write_manifest(args, outdir, inputs, artifacts)
@@ -182,37 +178,21 @@ def cmd_meta(args) -> int:
     return EXIT_OK
 
 
-def _program_paths(spec: dict) -> list[str]:
-    """The program files the static and scripted providers of a checked
-    providers config read: each 'path' that no 'source' overrides."""
-    entries = []
-    for provider in (spec["a"], spec["b"]):
-        kind = provider.get("kind", "static")
-        if kind == "static":
-            entries.append(provider)
-        elif kind == "scripted":
-            entries += provider["schedule"]
-    return [e["path"] for e in entries if not isinstance(e.get("source"), str)]
-
-
-def _label_one(path_str: str, rounds: int, seed: int, trials: int | None):
-    """Worker for --jobs; returns (name, payload | None, error | None)."""
-    path = Path(path_str)
+def _label_file(path: str, rounds: int, seed: int, trials: int | None, variants: bool):
+    """Worker for --jobs: (path, result | None, error | None), where the
+    result is the file's benchmark items with variants, else its labels row."""
     try:
         program = load_program_file(path, game=GAME_IPD)
     except ProgramError as exc:
-        return path.stem, None, str(exc)
+        return path, None, str(exc)
+    stem = Path(path).stem
+    if variants:
+        return path, labeling.benchmark_items(stem, program, seed, rounds), None
     label = labeling.label_cooperative(program, rounds, seed)
-    payload = {
-        "id": path.stem,
-        "stochastic": labeling.is_stochastic(program),
-        **label.to_json_dict(),
-    }
+    row = {"id": stem, "stochastic": labeling.is_stochastic(program), **label.to_json_dict()}
     if trials:
-        payload["cooperation_rate"] = labeling.cooperation_rate(
-            program, rounds, trials, seed
-        )
-    return path.stem, payload, None
+        row["cooperation_rate"] = labeling.cooperation_rate(program, rounds, trials, seed)
+    return path, row, None
 
 
 def cmd_label(args) -> int:
@@ -222,54 +202,43 @@ def cmd_label(args) -> int:
     if not corpus_dir.is_dir():
         raise CliError(f"corpus directory not found: {corpus_dir}")
     _checked(MatchConfig, rounds=args.rounds)  # the rounds check of the labeling matches
-    files = sorted(corpus_dir.glob("*.slang"))
-    if args.variants:
-        return _label_variants(args, files)
     if args.trials is not None:
         _checked(labeling.check_trials, args.trials)
-    tasks = [(str(p), args.rounds, args.seed, args.trials) for p in files]
-    results = pool_map(_label_one, tasks, args.jobs)
-
-    rows, bad = [], []
-    for name, payload, error in results:
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            bad.append(name)
+    tasks = [
+        (str(p), args.rounds, args.seed, args.trials, args.variants)
+        for p in sorted(corpus_dir.glob("*.slang"))
+    ]
+    labeled = {}  # each loadable file's result, in file order
+    for path, result, error in pool_map(_label_file, tasks, args.jobs):
+        if error is None:
+            labeled[path] = result
         else:
-            rows.append(payload)
-    out = _out_path(args.out, "labels.json")
-    summary = {
-        "programs": len(rows),
-        "cooperative": sum(1 for r in rows if r["cooperative"]),
-        "stochastic": sum(1 for r in rows if r["stochastic"]),
-        "errors": len(bad),
-    }
-    atomic_write_json(out, {"schema": "osgames.labels/1", "summary": summary, "items": rows})
-    print(
-        f"labeled {summary['programs']} programs "
-        f"({summary['cooperative']} cooperative, {summary['stochastic']} stochastic)"
-        + (f", {len(bad)} failed" if bad else "")
-    )
-    print(f"labels: {out}")
-    return EXIT_DOMAIN if bad else EXIT_OK
-
-
-def _label_variants(args, files: list[Path]) -> int:
-    """`label --variants`: each loadable file is loaded and labeled once."""
-    items, origins = [], []
-    for path in files:
-        try:
-            program = load_program_file(path, game=GAME_IPD)
-        except ProgramError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            continue
-        items += labeling.benchmark_items(path.stem, program, args.seed, args.rounds)
-        origins.append(program.origin)
-    outdir = _out_path(args.out, "benchmark")
-    written = labeling.write_benchmark(items, outdir)
-    _write_manifest(args, outdir, origins, written)
-    print(f"benchmark: {outdir} ({len(written)} files)")
-    return EXIT_DOMAIN if len(origins) < len(files) else EXIT_OK
+            print(f"error: {error}", file=sys.stderr)
+    failed = len(tasks) - len(labeled)
+    if args.variants:
+        outdir = _out_path(args.out, "benchmark")
+        items = [item for file_items in labeled.values() for item in file_items]
+        written = labeling.write_benchmark(items, outdir)
+        _write_manifest(args, outdir, list(labeled), written)
+        print(f"benchmark: {outdir} ({len(written)} files)")
+    else:
+        rows = list(labeled.values())
+        out = _out_path(args.out, "labels.json")
+        summary = {
+            "programs": len(rows),
+            "cooperative": sum(1 for r in rows if r["cooperative"]),
+            "stochastic": sum(1 for r in rows if r["stochastic"]),
+            "errors": failed,
+        }
+        labels = {"schema": "osgames.labels/1", "summary": summary, "items": rows}
+        atomic_write_json(out, labels)
+        print(
+            f"labeled {summary['programs']} programs "
+            f"({summary['cooperative']} cooperative, {summary['stochastic']} stochastic)"
+            + (f", {failed} failed" if failed else "")
+        )
+        print(f"labels: {out}")
+    return EXIT_DOMAIN if failed else EXIT_OK
 
 
 def cmd_metrics(args) -> int:
@@ -393,7 +362,9 @@ def _evolve_start(args, size: int) -> np.ndarray:
 
 
 def cmd_evolve(args) -> int:
-    _checked(evolution.check_steps, args.dt, args.steps)  # before the round robin
+    # before the round robin
+    _checked(evolution.check_steps, args.dt, args.steps)
+    _checked(evolution.check_tol, args.tol)
     matrix, x0 = _matrix_from_args(args, lambda size: _evolve_start(args, size))
     trajectory = _checked(evolution.integrate, matrix, x0, dt=args.dt, steps=args.steps)
     if not np.all(np.isfinite(trajectory.states)):

@@ -342,10 +342,17 @@ def _support_solution(a: np.ndarray, support: tuple[int, ...]) -> np.ndarray | s
     return x
 
 
+def check_tol(tol: float) -> None:
+    """Raise the ValueError fixed_points gives for this stability tolerance."""
+    if not 0 <= tol < np.inf:  # also false for nan
+        raise ValueError("tol must be non-negative and finite")
+
+
 def fixed_points(
     matrix: PayoffMatrix | np.ndarray, tol: float = 1e-9
 ) -> FixedPointReport:
     """Support enumeration for up to three types, vertices first."""
+    check_tol(tol)
     a = _payoffs(matrix)
     n = a.shape[0]
     if n > 3:

@@ -172,8 +172,10 @@ def merge_judge_labels(record: MetaGameRecord, sidecar: list[dict]) -> MetaGameR
     """Attach externally produced judge labels to their meta-rounds.
 
     Sidecar entries: {"meta_round": k, "player": "a"|"b",
-    "labels": {feature: bool}}; unknown features are rejected, and so is a
-    malformed entry, by a MetaGameError naming it.
+    "labels": {feature: bool}, "seed": s (optional)}; an entry with a seed
+    is attached only to the record whose config has that seed.  Every entry
+    is checked: an unknown feature or a malformed entry raises a
+    MetaGameError naming it.
     """
     by_round: dict[int, dict] = {}
     for i, entry in enumerate(sidecar):
@@ -186,10 +188,18 @@ def merge_judge_labels(record: MetaGameRecord, sidecar: list[dict]) -> MetaGameR
             raise MetaGameError(f"judge entry {i} has bad judge player {player!r}")
         if not isinstance(labels, dict):
             raise MetaGameError(f"judge entry {i} labels must be an object, got {labels!r}")
-        for feature in labels:
+        for feature, value in labels.items():
             if feature not in JUDGE_FEATURES:
                 raise MetaGameError(f"judge entry {i} has unknown judge feature {feature!r}")
-        by_round.setdefault(k, {})[player.lower()] = dict(labels)
+            if type(value) is not bool:
+                raise MetaGameError(
+                    f"judge entry {i} feature {feature!r} must be true or false, got {value!r}"
+                )
+        seed = entry.get("seed", record.config.seed)
+        if type(seed) is not int:
+            raise MetaGameError(f"judge entry {i} seed must be an integer, got {seed!r}")
+        if seed == record.config.seed:
+            by_round.setdefault(k, {})[player.lower()] = dict(labels)
     rounds = tuple(
         replace(r, judge_labels=by_round.get(r.meta_round, r.judge_labels))
         for r in record.rounds

@@ -75,6 +75,8 @@ class Provider:
     provider_id: str
     tag: str = ""
     kind: str = "static"
+    #: The program files the provider was built from, in config order.
+    inputs: tuple[str, ...] = ()
 
     def start(self, game: str) -> None:
         pass
@@ -340,6 +342,14 @@ class ExternalProvider(Provider):
                 stream.close()
 
 
+def providers_from_config(config) -> tuple[Provider, Provider]:
+    """Providers 'a' and 'b' of a providers config (the JSON value of its
+    file); a malformed config raises ProviderError naming what is wrong."""
+    if not isinstance(config, dict) or "a" not in config or "b" not in config:
+        raise ProviderError("providers config must name providers 'a' and 'b'")
+    return provider_from_spec(config["a"], "a"), provider_from_spec(config["b"], "b")
+
+
 def provider_from_spec(spec: dict, provider_id: str) -> Provider:
     """Build a provider from its JSON config entry; a malformed entry raises
     ProviderError naming it."""
@@ -348,8 +358,10 @@ def provider_from_spec(spec: dict, provider_id: str) -> Provider:
         raise ProviderError(f"{where} must be an object, got {spec!r}")
     kind = spec.get("kind", "static")
     tag = spec.get("tag", "")
+    inputs: list[str] = []
     if kind == "static":
-        return StaticProvider(provider_id, tag, source=_read_source(spec, where))
+        source = _read_source(spec, where, inputs)
+        return StaticProvider(provider_id, tag, inputs=tuple(inputs), source=source)
     if kind == "scripted":
         entries = spec.get("schedule", [])
         if not isinstance(entries, list) or not entries:
@@ -360,9 +372,9 @@ def provider_from_spec(spec: dict, provider_id: str) -> Provider:
             start = entry.get("from_round") if isinstance(entry, dict) else None
             if type(start) is not int:
                 raise ProviderError(f"{at} needs an integer from_round")
-            schedule.append((start, _read_source(entry, at)))
+            schedule.append((start, _read_source(entry, at, inputs)))
         schedule.sort(key=lambda e: e[0])
-        return ScriptedProvider(provider_id, tag, schedule=schedule)
+        return ScriptedProvider(provider_id, tag, inputs=tuple(inputs), schedule=schedule)
     if kind == "external":
         command = spec.get("command")
         if not isinstance(command, list) or not command or not all(
@@ -376,12 +388,16 @@ def provider_from_spec(spec: dict, provider_id: str) -> Provider:
     raise ProviderError(f"{where} has unknown kind {kind!r}")
 
 
-def _read_source(spec: dict, where: str) -> str:
+def _read_source(spec: dict, where: str, inputs: list[str]) -> str:
+    """The entry's 'source' string, else the text of the file its 'path'
+    names, which is then appended to inputs."""
     if isinstance(spec.get("source"), str):
         return spec["source"]
     if isinstance(spec.get("path"), str):
         try:
-            return read_source_file(Path(spec["path"]))
+            text = read_source_file(Path(spec["path"]))
         except ProgramError as exc:
             raise ProviderError(f"{where}: {exc}") from exc
+        inputs.append(spec["path"])
+        return text
     raise ProviderError(f"{where} needs a 'source' or 'path' string")

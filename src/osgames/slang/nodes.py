@@ -268,6 +268,21 @@ def walk_stmts(block: Block) -> Iterator[Stmt]:
             stack.extend(reversed(sub))
 
 
+def declared_names(func: FuncDef) -> dict[str, Span]:
+    """Each name the function declares (its parameters, then its lets and
+    loop variables in walk order) with the span of its first declaration
+    (no span for the parameters of a tree built without them)."""
+    names: dict[str, Span] = {}
+    for p, sp in zip(func.params, func.param_spans or (_NO_SPAN,) * len(func.params)):
+        names.setdefault(p, sp)
+    for stmt in walk_stmts(func.body):
+        if isinstance(stmt, Let):
+            names.setdefault(stmt.name, stmt.name_span)
+        elif isinstance(stmt, For):
+            names.setdefault(stmt.var, stmt.var_span)
+    return names
+
+
 def map_tree(node, fn):
     """Rebuild a function, statement or expression bottom-up.
 

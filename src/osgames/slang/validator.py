@@ -80,18 +80,6 @@ class ValidationReport:
         return tuple(d for d in self.diagnostics if d.severity is Severity.ERROR)
 
 
-def _declared_names(func: n.FuncDef) -> dict[str, Span]:
-    names: dict[str, Span] = {}
-    for p, sp in zip(func.params, func.param_spans):
-        names.setdefault(p, sp)
-    for stmt in n.walk_stmts(func.body):
-        if isinstance(stmt, n.Let):
-            names.setdefault(stmt.name, stmt.name_span)
-        elif isinstance(stmt, n.For):
-            names.setdefault(stmt.var, stmt.var_span)
-    return names
-
-
 def validate(tree: n.Program, game: str = GAME_IPD) -> ValidationReport:
     if game not in GAMES:
         raise ValueError(f"unknown game kind {game!r}")
@@ -125,7 +113,7 @@ def validate(tree: n.Program, game: str = GAME_IPD) -> ValidationReport:
             if p in RESERVED_NAMES or p in func_names:
                 err(sp, f"parameter '{p}' shadows a reserved or function name")
 
-        declared = _declared_names(d)
+        declared = n.declared_names(d)
         for stmt in n.walk_stmts(d.body):
             if isinstance(stmt, (n.Let, n.For)):
                 name = stmt.name if isinstance(stmt, n.Let) else stmt.var

@@ -127,16 +127,9 @@ def obfuscate(tree: n.Program, rng: SplitMix64) -> tuple[n.Program, RenameMap]:
     local_maps: dict[str, dict[str, str]] = {}
     for d in tree.defs:
         locals_map: dict[str, str] = {}
-        names: list[str] = list(d.params)
-        for stmt in n.walk_stmts(d.body):
-            if isinstance(stmt, n.Let):
-                names.append(stmt.name)
-            elif isinstance(stmt, n.For):
-                names.append(stmt.var)
-        for name in names:
-            if name not in locals_map:
-                locals_map[name] = _fresh_obfuscated(rng, used)
-                entries.append((d.name, name, locals_map[name]))
+        for name in n.declared_names(d):
+            locals_map[name] = _fresh_obfuscated(rng, used)
+            entries.append((d.name, name, locals_map[name]))
         local_maps[d.name] = locals_map
 
     renamed = _apply_renames(tree, func_map, local_maps)

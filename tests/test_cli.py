@@ -237,6 +237,29 @@ def test_label_jobs_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_label_variants_jobs_parallel_matches_serial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 2)  # a real pool on any runner
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("allc", "tft", "generous_tft", "prober"):
+        (corpus / f"{name}.slang").write_text(corpus_path(f"ipd/{name}.slang").read_text())
+    (corpus / "broken.slang").write_text("fn strategy( {")
+    trees, errors = [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["label", str(corpus), "--variants", "--jobs", jobs, "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        trees.append(_tree_bytes(out))
+        errors.append(err)
+    assert trees[0] == trees[1] and len(trees[0]) == 4 * 3 + 2  # + labels.json, manifest.json
+    assert errors[0] == errors[1] and "broken" in errors[0]
+
+
 def test_metrics_json(capsys):
     code, out, _ = run(["metrics", ALLC], capsys)
     assert code == 0
@@ -626,17 +649,24 @@ def test_meta_judge_sidecar(tmp_path, capsys):
     )
     sidecar = tmp_path / "judge.json"
     sidecar.write_text(
-        json.dumps([{"meta_round": 1, "player": "a", "labels": {"direct_imitation": True}}])
+        json.dumps([{"meta_round": 1, "player": "a", "labels": {"direct_imitation": True}},
+                    {"meta_round": 2, "player": "b", "labels": {"feint": False}, "seed": 1}])
     )
     outdir = tmp_path / "meta"
     code, _, _ = run(
-        ["meta", str(providers), "--meta-rounds", "2", "--out", str(outdir),
+        ["meta", str(providers), "--meta-rounds", "2", "--seeds", "2", "--out", str(outdir),
          "--judge-labels", str(sidecar)],
         capsys,
     )
     assert code == 0
-    record = json.loads((outdir / "meta_seed0.json").read_text())
-    assert record["rounds"][0]["judge_labels"] == {"a": {"direct_imitation": True}}
+    labels = [
+        [r["judge_labels"] for r in json.loads((outdir / name).read_text())["rounds"]]
+        for name in ("meta_seed0.json", "meta_seed1.json")
+    ]
+    assert labels == [
+        [{"a": {"direct_imitation": True}}, None],
+        [{"a": {"direct_imitation": True}}, {"b": {"feint": False}}],
+    ]
 
 
 STATIC_TFT = {"kind": "static", "path": TFT}
@@ -666,9 +696,30 @@ STATIC_TFT = {"kind": "static", "path": TFT}
             [{"meta_round": 1, "player": "a", "labels": ["direct_imitation"]}],
             "judge entry 0 labels must be an object",
         ),
+        ([STATIC_TFT, STATIC_TFT], None, "providers config must name providers 'a' and 'b'"),
+        ({"a": STATIC_TFT}, None, "providers config must name providers 'a' and 'b'"),
+        (
+            {"a": STATIC_TFT, "b": STATIC_TFT},
+            [{"meta_round": 1, "player": "a", "labels": {"feint": "yes please"}}],
+            "judge entry 0 feature 'feint' must be true or false, got 'yes please'",
+        ),
+        (
+            {"a": STATIC_TFT, "b": STATIC_TFT},
+            [{"meta_round": 1, "player": "a", "labels": {"counter_measure": 7}}],
+            "judge entry 0 feature 'counter_measure' must be true or false, got 7",
+        ),
+        *(
+            (
+                {"a": STATIC_TFT, "b": STATIC_TFT},
+                [{"meta_round": 1, "player": "a", "labels": {"feint": True}, "seed": seed}],
+                f"judge entry 0 seed must be an integer, got {seed!r}",
+            )
+            for seed in (1.9, True, "1")
+        ),
     ],
     ids=["spec-not-object", "no-from-round", "bad-timeout", "judge-no-player",
-         "judge-labels-list"],
+         "judge-labels-list", "config-not-object", "config-no-b", "judge-value-string",
+         "judge-value-int", "judge-seed-float", "judge-seed-bool", "judge-seed-string"],
 )
 def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
     config = tmp_path / "providers.json"
@@ -681,6 +732,8 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
     code, _, err = run(args, capsys)
     assert code == 2
     assert err.startswith("error: ") and named in err
+    if judge is not None:
+        assert err.startswith(f"error: bad judge labels {tmp_path / 'judge.json'}: ")
 
 
 @pytest.mark.parametrize(
@@ -691,6 +744,8 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
          "rounds must be positive"),
         (["label", str(ipd_corpus_dir()), "--config", "{rounds0}"], "rounds must be positive"),
         (["label", str(ipd_corpus_dir()), "--jobs", "0"], "jobs must be at least 1"),
+        (["label", str(ipd_corpus_dir()), "--variants", "--jobs", "0"],
+         "jobs must be at least 1"),
         (["label", str(ipd_corpus_dir()), "--trials", "-2"], "trials must be at least 1"),
         (["label", str(ipd_corpus_dir()), "--trials", "0"], "trials must be at least 1"),
         (["label", str(ipd_corpus_dir()), "--variants", "--trials", "3"],
@@ -702,6 +757,9 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         (["evolve", ALLC, ALLD, TFT, "--dt", "0"], "dt must be positive"),
         (["evolve", ALLC, ALLD, TFT, "--dt", "nan"], "dt must be positive and finite"),
         (["evolve", ALLC, ALLD, TFT, "--dt", "inf"], "dt must be positive and finite"),
+        (["evolve", ALLC, ALLD, TFT, "--tol", "-1"], "tol must be non-negative and finite"),
+        (["evolve", ALLC, ALLD, TFT, "--tol", "nan"], "tol must be non-negative and finite"),
+        (["evolve", ALLC, ALLD, TFT, "--tol", "inf"], "tol must be non-negative and finite"),
         (["evolve", ALLC, ALLD, TFT, "--x0", "nan,0.5,0.5"],
          "--x0 must be 3 non-negative values summing to 1"),
         (["evolve", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
@@ -722,9 +780,11 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
     ],
     ids=[
         "label-rounds", "label-variants-rounds", "label-config-rounds", "label-jobs",
+        "label-variants-jobs",
         "label-trials", "label-trials-zero", "label-variants-trials", "meta-seeds",
         "meta-seeds-negative",
         "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-dt-nan", "evolve-dt-inf",
+        "evolve-tol-negative", "evolve-tol-nan", "evolve-tol-inf",
         "evolve-x0-nan", "evolve-resolution", "flow-resolution", "flow-two-types",
         "evolve-matrix-and-programs", "flow-matrix-and-programs", "evolve-neither",
         "match-board-size", "match-step-limit", "match-payoffs-two", "match-payoffs-letters",

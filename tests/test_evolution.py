@@ -411,6 +411,17 @@ def test_jacobian_matches_finite_differences():
         assert np.allclose(analytic, numeric, atol=1e-5)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")], ids=repr)
+def test_fixed_points_tol_must_be_non_negative_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+        fixed_points(CLASSIC, tol=tol)
+
+
+def test_fixed_points_tol_zero_is_legal():
+    report = fixed_points(CLASSIC, tol=0.0)
+    assert [p.classification for p in report.points] == ["vertex"] * 3 + ["edge"]
+
+
 def test_fixed_points_limited_to_three_types():
     big = PayoffMatrix(tuple("abcd"), np.eye(4).tolist())
     with pytest.raises(ValueError):

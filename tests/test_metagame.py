@@ -316,6 +316,65 @@ def test_judge_label_merge():
     assert len(JUDGE_FEATURES) == 5
 
 
+def _two_round_record(seed: int):
+    return run_meta_game(
+        StaticProvider("a", source=TFT),
+        StaticProvider("b", source=TFT),
+        meta_rounds=2,
+        cfg=MatchConfig(rounds=10, seed=seed),
+    )
+
+
+@pytest.mark.parametrize(
+    "labels, named",
+    [
+        ({"feint": "yes please"}, "judge entry 0 feature 'feint' must be true or false"),
+        ({"counter_measure": 7}, "judge entry 0 feature 'counter_measure' must be true or false"),
+        ({"feint": None}, "judge entry 0 feature 'feint' must be true or false"),
+        ({"feint": 1}, "judge entry 0 feature 'feint' must be true or false"),
+    ],
+    ids=["string", "integer", "null", "one"],
+)
+def test_judge_label_values_must_be_booleans(labels, named):
+    sidecar = [{"meta_round": 1, "player": "a", "labels": labels}]
+    with pytest.raises(MetaGameError, match=named):
+        merge_judge_labels(_two_round_record(0), sidecar)
+
+
+def test_judge_entry_with_a_seed_is_attached_only_to_that_seed():
+    sidecar = [
+        {"meta_round": 1, "player": "a", "labels": {"feint": True}, "seed": 3},
+        {"meta_round": 1, "player": "b", "labels": {"feint": False}},
+        {"meta_round": 2, "player": "a", "labels": {"feint": False}, "seed": 4},
+    ]
+    merged = merge_judge_labels(_two_round_record(3), sidecar)
+    assert [r.judge_labels for r in merged.rounds] == [
+        {"a": {"feint": True}, "b": {"feint": False}},
+        None,
+    ]
+    merged = merge_judge_labels(_two_round_record(4), sidecar)
+    assert [r.judge_labels for r in merged.rounds] == [
+        {"b": {"feint": False}},
+        {"a": {"feint": False}},
+    ]
+
+
+@pytest.mark.parametrize("seed", [1.9, 1.0, True, "1", None], ids=repr)
+def test_judge_entry_seed_must_be_an_integer(seed):
+    sidecar = [{"meta_round": 1, "player": "a", "labels": {"feint": True}, "seed": seed}]
+    with pytest.raises(MetaGameError, match="judge entry 0 seed must be an integer"):
+        merge_judge_labels(_two_round_record(1), sidecar)
+
+
+def test_judge_entry_for_another_seed_is_still_checked():
+    sidecar = [
+        {"meta_round": 1, "player": "a", "labels": {"feint": True}},
+        {"meta_round": 1, "player": "a", "labels": {"bogus": True}, "seed": 9},
+    ]
+    with pytest.raises(MetaGameError, match="judge entry 1 has unknown judge feature 'bogus'"):
+        merge_judge_labels(_two_round_record(0), sidecar)
+
+
 @pytest.mark.parametrize("literal", ["²", "1" * 5000], ids=["superscript", "5000-digits"])
 def test_bad_numeral_in_meta_round_two_is_a_recorded_provider_fault(literal):
     bad = "fn strategy() {\n    return " + literal + "\n}\n"

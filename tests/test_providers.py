@@ -19,6 +19,7 @@ from osgames.providers import (
     ScriptedProvider,
     StaticProvider,
     provider_from_spec,
+    providers_from_config,
 )
 
 AGENTS = Path(__file__).parent / "agents"
@@ -295,3 +296,46 @@ def test_provider_from_spec(tmp_path):
         provider_from_spec({"kind": "scripted", "schedule": []}, "e")
     with pytest.raises(ProviderError):
         provider_from_spec({"kind": "external", "command": []}, "f")
+
+
+def test_provider_inputs_are_the_program_files_it_read(tmp_path):
+    paths = []
+    for name, text in (("allc", ALLC), ("alld", ALLD), ("other", ALLC)):
+        paths.append(str(tmp_path / f"{name}.slang"))
+        Path(paths[-1]).write_text(text)
+    allc, alld, other = paths
+    static = provider_from_spec({"kind": "static", "path": allc}, "a")
+    assert static.inputs == (allc,)
+    assert "inputs" not in static.describe()
+    # a 'source' string wins over the 'path', which is then never read
+    overridden = provider_from_spec({"kind": "static", "path": allc, "source": ALLD}, "a")
+    assert overridden.inputs == () and overridden.propose(ctx(1)) == ALLD
+    scripted = provider_from_spec(
+        {
+            "kind": "scripted",
+            "schedule": [
+                {"from_round": 5, "path": alld},
+                {"from_round": 1, "path": allc},
+                {"from_round": 3, "path": other, "source": ALLD},
+            ],
+        },
+        "b",
+    )
+    assert scripted.inputs == (alld, allc)  # in config order, not schedule order
+    external = provider_from_spec({"kind": "external", "command": ["prog"]}, "c")
+    assert external.inputs == ()
+
+
+@pytest.mark.parametrize(
+    "config", [[], "ab", {"a": {"source": ALLC}}, {"b": {"source": ALLC}}],
+    ids=["list", "string", "no-b", "no-a"],
+)
+def test_providers_config_must_name_a_and_b(config):
+    with pytest.raises(ProviderError, match="providers config must name providers 'a' and 'b'"):
+        providers_from_config(config)
+
+
+def test_providers_from_config_builds_a_then_b():
+    a, b = providers_from_config({"b": {"source": ALLD, "tag": "B"}, "a": {"source": ALLC}})
+    assert (a.provider_id, a.propose(ctx(1))) == ("a", ALLC)
+    assert (b.provider_id, b.tag, b.propose(ctx(1))) == ("b", "B", ALLD)

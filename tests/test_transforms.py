@@ -168,6 +168,18 @@ fn strategy() {
     assert validate(parse_source(out), "ipd").ok
 
 
+def test_obfuscate_renames_the_parameters_of_a_tree_built_without_spans():
+    from dataclasses import replace
+
+    tree = parse_source(
+        "fn f(a, b) {\n    return a + b\n}\n\nfn strategy() {\n    return f(1, 2)\n}\n"
+    )
+    bare = replace(tree, defs=tuple(replace(d, param_spans=()) for d in tree.defs))
+    renamed, rename_map = obfuscate(bare, SplitMix64(3))
+    assert render(renamed).text == render(obfuscate(tree, SplitMix64(3))[0]).text
+    assert sorted(rename_map.scope("f")) == ["a", "b"]
+
+
 def test_obfuscate_deterministic_per_seed():
     tree = parse_source(COMMENTED)
     a, _ = obfuscate(tree, SplitMix64(5))
