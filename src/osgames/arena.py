@@ -15,18 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import games
-from .program import ProgramError, StrategyProgram, load_program
+from .games import PLAYER_IDS
+from .program import StrategyProgram, load_program, validated
 from .rng import RNG_ALGORITHM, SplitMix64, derive_seed
-from .runtime import (
-    Bindings, Budget, CoinView, RuntimeFault, can_draw, evaluate, legal_actions, reads_opp_source,
-)
-from .slang.validator import GAME_COIN, GAME_IPD, GAMES, validate
+from .runtime import Bindings, Budget, RuntimeFault, can_draw, evaluate, reads_opp_source
+from .slang.validator import GAME_COIN, GAME_IPD, GAMES
 
 SCHEMA_MATCH = "osgames.match/1"
-
-DEFAULT_FALLBACK = {GAME_IPD: "D", GAME_COIN: "UP"}
-
-PLAYER_IDS = ("A", "B")
 
 
 @dataclass(frozen=True)
@@ -46,12 +41,12 @@ class MatchConfig:
             raise ValueError("rounds must be positive")
         if self.game == GAME_COIN and self.board_size < 2:
             raise ValueError("board size must be at least 2")
-        if self.fallback is not None and self.fallback not in legal_actions(self.game):
+        if self.fallback is not None and self.fallback not in games.ACTIONS[self.game]:
             raise ValueError(f"fallback {self.fallback!r} is not legal for {self.game}")
 
     @property
     def fallback_action(self) -> str:
-        return self.fallback if self.fallback is not None else DEFAULT_FALLBACK[self.game]
+        return self.fallback if self.fallback is not None else games.FALLBACK[self.game]
 
     def to_json_dict(self) -> dict:
         d = {
@@ -171,15 +166,6 @@ class ArenaError(Exception):
     pass
 
 
-def _require_valid(program: StrategyProgram, game: str, who: str) -> None:
-    if program.game == game:
-        return  # load_program validated it for this game
-    report = validate(program.tree, game)
-    if not report.ok:
-        messages = "; ".join(d.message for d in report.errors())
-        raise ProgramError(f"player {who} does not validate for {game}: {messages}")
-
-
 #: Nodes one Memo may hold; past it, a history with no node is evaluated.
 TRIE_NODE_CAP = 1 << 17
 
@@ -278,14 +264,14 @@ def play_match(
 ) -> MatchRecord:
     """Run one full match; faults become fallback actions plus log entries.
 
-    Programs not already loaded for cfg.game (see StrategyProgram.game) are
+    Programs not already validated for cfg.game (see program.validated) are
     validated first.  One loop serves both games; only the step differs.
     Each player has one Policy, and one binding over the match's own
     history lists, which grow only after both players have moved.  With a
     memo (see Policy), seed-free players replay what they did before.
     """
-    _require_valid(pa, cfg.game, "A")
-    _require_valid(pb, cfg.game, "B")
+    pa = validated(pa, cfg.game)
+    pb = validated(pb, cfg.game)
     policy_a = Policy(pa, pb, cfg, "A", memo)
     policy_b = Policy(pb, pa, cfg, "B", memo)
     state = None  # coin game board; None for the IPD
@@ -305,9 +291,8 @@ def play_match(
     for r in range(cfg.rounds):
         env_a.round_index = env_b.round_index = r
         if state is not None:
-            a, b, red, blue = state.pos_a, state.pos_b, state.coin_red, state.coin_blue
-            env_a.coin_view = CoinView(a, b, red, blue, state.n)
-            env_b.coin_view = CoinView(b, a, blue, red, state.n)
+            env_a.coin_view = state.view("A")
+            env_b.coin_view = state.view("B")
         act_a, fault_a = policy_a.act(env_a)
         act_b, fault_b = policy_b.act(env_b)
         faults.extend(f for f in (fault_a, fault_b) if f is not None)
@@ -432,9 +417,7 @@ def round_robin(
     if repetitions < 1:
         raise ArenaError("repetitions must be at least 1")
     tags = tuple(tag for tag, _ in entries)
-    programs = [program for _, program in entries]
-    for tag, program in entries:
-        _require_valid(program, cfg.game, tag)
+    programs = [validated(program, cfg.game) for _, program in entries]
     n = len(programs)
     seed_free = [Policy.seed_free(p, cfg.game) for p in programs]
     seeds = {

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, evolution, labeling, metrics as metrics_mod
 from ._pool import pool_map
 from .arena import ArenaError, MatchConfig, play_match, round_robin
-from .metagame import MetaGameError, merge_judge_labels, run_meta_game
+from .metagame import MetaGameError, check_judge_labels, merge_judge_labels, run_meta_game
 from .program import ProgramError, load_program_file, read_source_file
 from .providers import ProviderError, providers_from_config
 from .rng import SplitMix64
@@ -150,8 +150,10 @@ def cmd_meta(args) -> int:
     sidecar = None
     if args.judge_labels:
         sidecar = _read_json(args.judge_labels, "judge labels")
-        if not isinstance(sidecar, list):
-            raise CliError(f"judge labels {args.judge_labels} must be a list of entries")
+        try:  # before any provider starts
+            check_judge_labels(sidecar, args.meta_rounds)
+        except MetaGameError as exc:
+            raise CliError(f"bad judge labels {args.judge_labels}: {exc}") from exc
     outdir = _out_path(args.out, "meta_run")
     base_cfg = _match_config(args)
     artifacts = []
@@ -161,10 +163,7 @@ def cmd_meta(args) -> int:
         cfg = dataclasses.replace(base_cfg, seed=seed)
         record = run_meta_game(prov_a, prov_b, args.meta_rounds, cfg)
         if sidecar is not None:
-            try:
-                record = merge_judge_labels(record, sidecar)
-            except MetaGameError as exc:
-                raise CliError(f"bad judge labels {args.judge_labels}: {exc}") from exc
+            record = merge_judge_labels(record, sidecar)
         path = outdir / f"meta_seed{seed}.json"
         atomic_write_json(path, record.to_json_dict())
         artifacts.append(path)

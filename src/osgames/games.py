@@ -1,5 +1,6 @@
-"""Base-game semantics: prisoner's-dilemma payoffs and the coin-collecting
-gridworld on a wrap-around board.
+"""Base-game semantics: each game's legal actions and fallback,
+prisoner's-dilemma payoffs, and the coin-collecting gridworld on a
+wrap-around board with each player's view of it.
 
 Positions are (row, col) tuples taken modulo the board size.  The move
 convention is pinned here: UP decreases the row (mod n), DOWN increases it,
@@ -8,12 +9,17 @@ LEFT decreases the column, RIGHT increases it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .rng import SplitMix64
+from .slang.validator import GAME_COIN, GAME_IPD
 
 IPD_ACTIONS = ("C", "D")
 MOVES = ("UP", "DOWN", "LEFT", "RIGHT")
+
+#: Each game's legal actions, and the one a faulting program plays.
+ACTIONS = {GAME_IPD: IPD_ACTIONS, GAME_COIN: MOVES}
+FALLBACK = {GAME_IPD: "D", GAME_COIN: "UP"}
 
 _MOVE_DELTAS = {
     "UP": (-1, 0),
@@ -74,6 +80,22 @@ def adjacent(p: Position, n: int) -> list[tuple[str, Position]]:
     return [(move, move_position(p, move, n)) for move in MOVES]
 
 
+#: The players of both games, and their coin colours in the same order.
+PLAYER_IDS = ("A", "B")
+_COLOURS = ("red", "blue")
+
+
+@dataclass(frozen=True)
+class CoinView:
+    """What one player of the coin game observes: full state, own-relative."""
+
+    my_pos: Position
+    opp_pos: Position
+    my_coin: Position
+    opp_coin: Position
+    board_size: int
+
+
 @dataclass(frozen=True)
 class CoinState:
     n: int
@@ -86,6 +108,12 @@ class CoinState:
     def __post_init__(self):
         if self.coin_red == self.coin_blue:
             raise ValueError("the two coins may not share a cell")
+
+    def view(self, player: str) -> CoinView:
+        """The board as player "A" or "B" sees it: its own cell and colour first."""
+        if player == PLAYER_IDS[0]:
+            return CoinView(self.pos_a, self.pos_b, self.coin_red, self.coin_blue, self.n)
+        return CoinView(self.pos_b, self.pos_a, self.coin_blue, self.coin_red, self.n)
 
 
 @dataclass(frozen=True)
@@ -120,53 +148,28 @@ def coin_step(
 
     Scoring: a collector always gains +1; collecting the other player's
     colour additionally costs the owner 2 points.  Both players landing on
-    the same coin both collect it (two events, one respawn).  Respawns
-    exclude both player cells and the other coin's cell, red before blue.
+    the same coin both collect it (two events, one respawn).  Events come
+    player by player, red before blue.  Respawns exclude both player cells
+    and the other coin's cell, red before blue.
     """
     if move_a not in MOVES or move_b not in MOVES:
         raise ValueError(f"illegal moves {(move_a, move_b)!r}")
     n = state.n
-    new_a = move_position(state.pos_a, move_a, n)
-    new_b = move_position(state.pos_b, move_b, n)
     step = state.step_index
-
-    delta_a = 0
-    delta_b = 0
+    cells = (move_position(state.pos_a, move_a, n), move_position(state.pos_b, move_b, n))
+    coins = [state.coin_red, state.coin_blue]  # coin c is player c's colour
+    deltas = [0, 0]
+    taken = [False, False]
     events: list[CoinEvent] = []
-
-    red_taken = False
-    blue_taken = False
-    for player, cell in (("A", new_a), ("B", new_b)):
-        if cell == state.coin_red:
-            red_taken = True
-            events.append(CoinEvent(player, "red", cell, step))
-            if player == "A":
-                delta_a += 1
-            else:
-                delta_b += 1
-                delta_a -= 2
-        if cell == state.coin_blue:
-            blue_taken = True
-            events.append(CoinEvent(player, "blue", cell, step))
-            if player == "B":
-                delta_b += 1
-            else:
-                delta_a += 1
-                delta_b -= 2
-
-    coin_red = state.coin_red
-    coin_blue = state.coin_blue
-    if red_taken:
-        coin_red = _respawn(n, rng, {new_a, new_b, coin_blue})
-    if blue_taken:
-        coin_blue = _respawn(n, rng, {new_a, new_b, coin_red})
-
-    next_state = replace(
-        state,
-        pos_a=new_a,
-        pos_b=new_b,
-        coin_red=coin_red,
-        coin_blue=coin_blue,
-        step_index=step + 1,
-    )
-    return next_state, delta_a, delta_b, events
+    for p, player in enumerate(PLAYER_IDS):
+        for c, colour in enumerate(_COLOURS):
+            if cells[p] == coins[c]:
+                taken[c] = True
+                events.append(CoinEvent(player, colour, cells[p], step))
+                deltas[p] += 1
+                if c != p:
+                    deltas[c] -= 2
+    for c in (0, 1):
+        if taken[c]:
+            coins[c] = _respawn(n, rng, {*cells, coins[1 - c]})
+    return CoinState(n, *cells, *coins, step + 1), deltas[0], deltas[1], events

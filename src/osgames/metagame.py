@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .arena import MatchConfig, MatchRecord, play_match
+from .games import PLAYER_IDS
 from .program import ProgramError, StrategyProgram, load_program
 from .providers import ProposalContext, Provider, ProviderError
 from .rng import RNG_ALGORITHM, derive_seed
@@ -86,8 +87,8 @@ def _history_entry(r: MetaRound, me: int) -> dict:
         "opponent_source": r.sources[opp],
         "my_total": r.match.totals[me],
         "opponent_total": r.match.totals[opp],
-        "my_actions": list(r.match.player_actions("AB"[me])),
-        "opponent_actions": list(r.match.player_actions("AB"[opp])),
+        "my_actions": list(r.match.player_actions(PLAYER_IDS[me])),
+        "opponent_actions": list(r.match.player_actions(PLAYER_IDS[opp])),
     }
 
 
@@ -168,22 +169,27 @@ def run_meta_game(
     )
 
 
-def merge_judge_labels(record: MetaGameRecord, sidecar: list[dict]) -> MetaGameRecord:
-    """Attach externally produced judge labels to their meta-rounds.
+def check_judge_labels(sidecar: list, meta_rounds: int) -> None:
+    """Check judge-label entries against a run of meta_rounds meta-rounds.
 
-    Sidecar entries: {"meta_round": k, "player": "a"|"b",
-    "labels": {feature: bool}, "seed": s (optional)}; an entry with a seed
-    is attached only to the record whose config has that seed.  Every entry
-    is checked: an unknown feature or a malformed entry raises a
-    MetaGameError naming it.
+    Entries: {"meta_round": k, "player": "a"|"b", "labels": {feature: bool},
+    "seed": s (optional)}.  Every entry is checked, whatever its seed: a
+    malformed entry, an unknown feature, a meta_round outside 1..meta_rounds,
+    or two entries for the same meta-round and player that would reach the
+    same record (the same seed, or either without one) raise a MetaGameError
+    naming the entries.
     """
-    by_round: dict[int, dict] = {}
+    if not isinstance(sidecar, list):
+        raise MetaGameError("the sidecar must be a list of entries")
+    claimed: dict[tuple[int, str], dict[int | None, int]] = {}  # seed (None: any) -> entry
     for i, entry in enumerate(sidecar):
         if not isinstance(entry, dict):
             raise MetaGameError(f"judge entry {i} must be an object, got {entry!r}")
         k, player, labels = entry.get("meta_round"), entry.get("player"), entry.get("labels")
         if type(k) is not int:
             raise MetaGameError(f"judge entry {i} needs an integer meta_round, got {k!r}")
+        if not 1 <= k <= meta_rounds:
+            raise MetaGameError(f"judge entry {i} meta_round {k} is outside 1..{meta_rounds}")
         if not isinstance(player, str) or player.lower() not in ("a", "b"):
             raise MetaGameError(f"judge entry {i} has bad judge player {player!r}")
         if not isinstance(labels, dict):
@@ -195,11 +201,30 @@ def merge_judge_labels(record: MetaGameRecord, sidecar: list[dict]) -> MetaGameR
                 raise MetaGameError(
                     f"judge entry {i} feature {feature!r} must be true or false, got {value!r}"
                 )
-        seed = entry.get("seed", record.config.seed)
-        if type(seed) is not int:
+        seed = entry.get("seed")
+        if "seed" in entry and type(seed) is not int:
             raise MetaGameError(f"judge entry {i} seed must be an integer, got {seed!r}")
-        if seed == record.config.seed:
-            by_round.setdefault(k, {})[player.lower()] = dict(labels)
+        # the earlier entry reaching a record this one reaches, if any
+        slot = claimed.setdefault((k, player.lower()), {})
+        j = next(iter(slot.values()), None) if seed is None else slot.get(seed, slot.get(None))
+        if j is not None:
+            raise MetaGameError(
+                f"judge entries {j} and {i} both label meta_round {k} player {player.lower()!r}"
+            )
+        slot[seed] = i
+
+
+def merge_judge_labels(record: MetaGameRecord, sidecar: list) -> MetaGameRecord:
+    """Attach externally produced judge labels to their meta-rounds, after
+    check_judge_labels; an entry with a seed is attached only to the record
+    whose config has that seed."""
+    check_judge_labels(sidecar, record.meta_rounds)
+    seed = record.config.seed
+    by_round: dict[int, dict] = {}
+    for entry in sidecar:
+        if entry.get("seed", seed) == seed:
+            labels = by_round.setdefault(entry["meta_round"], {})
+            labels[entry["player"].lower()] = dict(entry["labels"])
     rounds = tuple(
         replace(r, judge_labels=by_round.get(r.meta_round, r.judge_labels))
         for r in record.rounds

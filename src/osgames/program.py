@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .slang import (
@@ -25,7 +25,7 @@ class ProgramError(Exception):
 class StrategyProgram:
     source: SourceText
     tree: nodes.Program
-    game: str | None = None  # the game load_program validated it for, if any
+    game: str | None = None  # the game it was validated for, if any
 
     @property
     def text(self) -> str:
@@ -55,12 +55,20 @@ def load_program(
         tree = parse_source(src)
     except (LexError, ParseError) as exc:
         raise ProgramError(_describe(src, exc.span, exc.message)) from exc
-    if game is not None:
-        report = validate(tree, game)
-        if not report.ok:
-            lines = [_describe(src, d.span, d.message) for d in report.errors()]
-            raise ProgramError("\n".join(lines))
-    return StrategyProgram(src, tree, game)
+    program = StrategyProgram(src, tree)
+    return program if game is None else validated(program, game)
+
+
+def validated(program: StrategyProgram, game: str) -> StrategyProgram:
+    """The program, marked as validated for the game; it is validated unless
+    it already is.  Raises ProgramError with one located line per error."""
+    if program.game == game:
+        return program
+    report = validate(program.tree, game)
+    if not report.ok:
+        lines = [_describe(program.source, d.span, d.message) for d in report.errors()]
+        raise ProgramError("\n".join(lines))
+    return replace(program, game=game)
 
 
 def read_source_file(path: Path) -> str:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import games
+from .games import CoinView
 from ._stack import stack_headroom
 from .rng import SplitMix64
 from .slang import nodes as n
@@ -67,17 +68,6 @@ class RuntimeFault(Exception):
         self.span = span
         self.detail = detail
         self.steps = steps
-
-
-@dataclass(frozen=True)
-class CoinView:
-    """What one player of the coin game observes: full state, own-relative."""
-
-    my_pos: games.Position
-    opp_pos: games.Position
-    my_coin: games.Position
-    opp_coin: games.Position
-    board_size: int
 
 
 @dataclass
@@ -181,10 +171,6 @@ def slang_eq(a, b, ctx: _Ctx | None = None) -> bool:
         elif a != b:
             return False
     return True
-
-
-def legal_actions(game: str) -> tuple[str, ...]:
-    return games.IPD_ACTIONS if game == GAME_IPD else games.MOVES
 
 
 # --------------------------------------------------------------------------
@@ -827,7 +813,7 @@ def _choice(ctx, span, args):
     _need(ctx, type(xs) is list, span, "choice needs a list")
     if not xs:
         _fault(ctx, FaultKind.INDEX_RANGE, span, "choice on an empty list")
-    return xs[ctx.rng.rand_below(len(xs))]
+    return ctx.rng.choice(xs)
 
 
 def _view(ctx) -> CoinView:
@@ -889,8 +875,6 @@ def _show(value) -> str:
     Iterative, and it stops at the cut, so values of any nesting or size
     print without host recursion in bounded time.
     """
-    if value is UNIT:
-        return "unit"
     if type(value) is bool:
         return "true" if value else "false"
     parts = []
@@ -1025,7 +1009,7 @@ def evaluate(
         value, span = UNIT, entry.span
     else:
         value, span = result, ctx.ret_span
-    legal = legal_actions(env.game)
+    legal = games.ACTIONS[env.game]
     if type(value) is not str or value not in legal:
         detail = f"strategy returned {_show(value)}, expected one of {list(legal)}"
         _fault(ctx, FaultKind.INVALID_RETURN, span, detail)

@@ -11,7 +11,6 @@ from .validator import (
     GAME_IPD,
     GAMES,
     Diagnostic,
-    Severity,
     ValidationReport,
     validate,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "GAMES",
     "LexError",
     "ParseError",
-    "Severity",
     "SourceText",
     "Span",
     "Token",

@@ -40,9 +40,6 @@ class Span(NamedTuple):
     start: int
     end: int
 
-    def slice(self, text: str) -> str:
-        return text[self.start : self.end]
-
 
 @dataclass(frozen=True)
 class SourceText:

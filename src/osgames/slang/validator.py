@@ -10,7 +10,6 @@ bindings or other functions (which is also what makes alpha-renaming safe).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from . import nodes as n
 from .tokens import Span
@@ -59,25 +58,22 @@ BUILTINS: dict[str, BuiltinSig] = {
 RESERVED_NAMES = frozenset(BUILTINS) | frozenset(AMBIENT_BINDINGS)
 
 
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     span: Span
-    severity: Severity
     message: str
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
-    diagnostics: tuple[Diagnostic, ...]
+    diagnostics: tuple[Diagnostic, ...]  # every one is an error
+
+    @property
+    def ok(self) -> bool:
+        return not self.diagnostics
 
     def errors(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity is Severity.ERROR)
+        return self.diagnostics
 
 
 def validate(tree: n.Program, game: str = GAME_IPD) -> ValidationReport:
@@ -86,7 +82,7 @@ def validate(tree: n.Program, game: str = GAME_IPD) -> ValidationReport:
     diags: list[Diagnostic] = []
 
     def err(span: Span, message: str) -> None:
-        diags.append(Diagnostic(span, Severity.ERROR, message))
+        diags.append(Diagnostic(span, message))
 
     entry = tree.function(n.ENTRY_POINT)
     if entry is None:
@@ -133,8 +129,7 @@ def validate(tree: n.Program, game: str = GAME_IPD) -> ValidationReport:
                     elif isinstance(expr, n.Call):
                         _check_call(expr, game, func_names, arities, err)
 
-    ok = not any(d.severity is Severity.ERROR for d in diags)
-    return ValidationReport(ok, tuple(diags))
+    return ValidationReport(tuple(diags))
 
 
 def _check_call(expr: n.Call, game, func_names, arities, err) -> None:

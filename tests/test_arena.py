@@ -81,9 +81,12 @@ def test_simultaneity_no_order_effects(tft, alld, allc):
 
 
 def test_invalid_program_rejected_before_play(allc):
-    bad = load_program("fn strategy() {\n    return my_pos()\n}\n", game=None)
-    with pytest.raises(ProgramError):
+    bad = load_program("fn strategy() {\n    return my_pos()\n}\n", "bad.slang", game=None)
+    located = r"^bad\.slang:2:12: builtin 'my_pos' not available in this game$"
+    with pytest.raises(ProgramError, match=located):
         play_match(bad, allc, MatchConfig())
+    with pytest.raises(ProgramError, match=located):
+        round_robin([("allc", allc), ("bad", bad)], MatchConfig())
 
 
 def test_play_match_validates_only_programs_not_loaded_for_its_game(monkeypatch, allc, alld):
@@ -93,12 +96,17 @@ def test_play_match_validates_only_programs_not_loaded_for_its_game(monkeypatch,
         calls.append(game)
         return validate(tree, game)
 
-    monkeypatch.setattr(arena, "validate", counting_validate)
+    monkeypatch.setattr(program, "validate", counting_validate)
     play_match(allc, alld, MatchConfig())
     assert calls == []
     unchecked = load_program(allc.text, game=None)
     play_match(unchecked, alld, MatchConfig())
     assert calls == ["ipd"]
+    checked = program.validated(unchecked, "ipd")
+    assert checked.game == "ipd" and calls == ["ipd", "ipd"]
+    play_match(checked, alld, MatchConfig())
+    assert program.validated(checked, "ipd") is checked
+    assert calls == ["ipd", "ipd"]
 
 
 def test_config_json_round_trip_off_defaults():
@@ -119,6 +127,20 @@ def test_replay_reproduces_record_bytes(tft, alld):
     blob = canonical_json_bytes(record.to_json_dict())
     again = replay(json.loads(blob))
     assert canonical_json_bytes(again.to_json_dict()) == blob
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("schema", "osgames.meta/1", "not a match record: 'osgames.meta/1'"),
+        ("rng_algorithm", "mt19937", "record was produced with a different rng algorithm"),
+    ],
+    ids=["schema", "rng"],
+)
+def test_replay_rejects_other_records(tft, alld, key, value, message):
+    record = play_match(tft, alld, MatchConfig(rounds=2)).to_json_dict()
+    with pytest.raises(ArenaError, match=message):
+        replay({**record, key: value})
 
 
 def test_coin_match_record_replay():
@@ -544,13 +566,17 @@ def test_policy_replays_a_memo_without_play_match(monkeypatch, alld, tft):
 
 
 def test_round_robin_requires_two_types(allc):
-    with pytest.raises(ArenaError):
+    with pytest.raises(ArenaError, match="needs at least two types"):
         round_robin([("only", allc)], MatchConfig())
+    with pytest.raises(ArenaError, match="repetitions must be at least 1"):
+        round_robin([("a", allc), ("b", allc)], MatchConfig(), repetitions=0)
 
 
 def test_fallback_must_be_legal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not legal for ipd"):
         MatchConfig(game="ipd", fallback="UP")
+    with pytest.raises(ValueError, match="unknown game kind 'go'"):
+        MatchConfig(game="go")
     assert MatchConfig(game="coin", fallback="LEFT").fallback_action == "LEFT"
     assert MatchConfig(game="ipd").fallback_action == "D"
     assert MatchConfig(game="coin").fallback_action == "UP"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from osgames import _pool, evolution, labeling, metrics as metrics_mod
+from osgames import _pool, cli, evolution, labeling, metrics as metrics_mod
 from osgames.cli import _match_config, build_parser, main
 from osgames.fixtures import corpus_dir, corpus_path, ipd_corpus_dir
 from osgames.program import load_program_file
@@ -716,12 +716,36 @@ STATIC_TFT = {"kind": "static", "path": TFT}
             )
             for seed in (1.9, True, "1")
         ),
+        (
+            {"a": STATIC_TFT, "b": STATIC_TFT},
+            {"meta_round": 1, "player": "a", "labels": {"feint": True}},
+            "the sidecar must be a list of entries",
+        ),
+        ({"a": STATIC_TFT, "b": STATIC_TFT}, ["feint"], "judge entry 0 must be an object"),
+        (
+            {"a": STATIC_TFT, "b": STATIC_TFT},
+            [{"meta_round": "1", "player": "a", "labels": {"feint": True}}],
+            "judge entry 0 needs an integer meta_round, got '1'",
+        ),
+        (
+            {"a": STATIC_TFT, "b": STATIC_TFT},
+            [{"meta_round": 5, "player": "a", "labels": {"feint": True}}],
+            "judge entry 0 meta_round 5 is outside 1..2",
+        ),
+        (
+            {"a": STATIC_TFT, "b": STATIC_TFT},
+            [{"meta_round": 1, "player": "a", "labels": {"feint": True}},
+             {"meta_round": 1, "player": "a", "labels": {"feint": False}}],
+            "judge entries 0 and 1 both label meta_round 1 player 'a'",
+        ),
     ],
     ids=["spec-not-object", "no-from-round", "bad-timeout", "judge-no-player",
          "judge-labels-list", "config-not-object", "config-no-b", "judge-value-string",
-         "judge-value-int", "judge-seed-float", "judge-seed-bool", "judge-seed-string"],
+         "judge-value-int", "judge-seed-float", "judge-seed-bool", "judge-seed-string",
+         "judge-not-list", "judge-entry-not-object", "judge-round-string",
+         "judge-round-past-run", "judge-same-round-twice"],
 )
-def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
+def test_meta_malformed_input_exit_2(tmp_path, capsys, monkeypatch, providers, judge, named):
     config = tmp_path / "providers.json"
     config.write_text(json.dumps(providers))
     args = ["meta", str(config), "--meta-rounds", "2", "--out", str(tmp_path / "m")]
@@ -729,11 +753,20 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         sidecar = tmp_path / "judge.json"
         sidecar.write_text(json.dumps(judge))
         args += ["--judge-labels", str(sidecar)]
+    calls = []
+    real_run_meta_game = cli.run_meta_game
+
+    def recording_run_meta_game(*args, **kwargs):
+        calls.append(args)
+        return real_run_meta_game(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_meta_game", recording_run_meta_game)
     code, _, err = run(args, capsys)
     assert code == 2
     assert err.startswith("error: ") and named in err
     if judge is not None:
         assert err.startswith(f"error: bad judge labels {tmp_path / 'judge.json'}: ")
+    assert calls == []  # rejected before any provider starts or any game is played
 
 
 @pytest.mark.parametrize(
@@ -750,6 +783,7 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         (["label", str(ipd_corpus_dir()), "--trials", "0"], "trials must be at least 1"),
         (["label", str(ipd_corpus_dir()), "--variants", "--trials", "3"],
          "--trials does not apply to --variants"),
+        (["label", "/nope/missing_corpus"], "corpus directory not found: /nope/missing_corpus"),
         (["meta", "{providers}", "--seeds", "0"], "seeds must be at least 1"),
         (["meta", "{providers}", "--seeds", "-3"], "seeds must be at least 1"),
         (["tournament", ALLC, ALLD, "--jobs", "-5"], "jobs must be at least 1"),
@@ -762,6 +796,7 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
         (["evolve", ALLC, ALLD, TFT, "--tol", "inf"], "tol must be non-negative and finite"),
         (["evolve", ALLC, ALLD, TFT, "--x0", "nan,0.5,0.5"],
          "--x0 must be 3 non-negative values summing to 1"),
+        (["evolve", ALLC, ALLD, TFT, "--x0", "abc"], "bad --x0 'abc'"),
         (["evolve", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
         (["flow", ALLC, ALLD, TFT, "--resolution", "1"], "resolution must be at least 2"),
         (["flow", ALLC, ALLD], "flow fields are only defined for exactly 3 types"),
@@ -781,11 +816,12 @@ def test_meta_malformed_input_exit_2(tmp_path, capsys, providers, judge, named):
     ids=[
         "label-rounds", "label-variants-rounds", "label-config-rounds", "label-jobs",
         "label-variants-jobs",
-        "label-trials", "label-trials-zero", "label-variants-trials", "meta-seeds",
+        "label-trials", "label-trials-zero", "label-variants-trials", "label-missing-dir",
+        "meta-seeds",
         "meta-seeds-negative",
         "tournament-jobs", "evolve-steps", "evolve-dt", "evolve-dt-nan", "evolve-dt-inf",
         "evolve-tol-negative", "evolve-tol-nan", "evolve-tol-inf",
-        "evolve-x0-nan", "evolve-resolution", "flow-resolution", "flow-two-types",
+        "evolve-x0-nan", "evolve-x0-letters", "evolve-resolution", "flow-resolution", "flow-two-types",
         "evolve-matrix-and-programs", "flow-matrix-and-programs", "evolve-neither",
         "match-board-size", "match-step-limit", "match-payoffs-two", "match-payoffs-letters",
         "match-payoffs-2r",

@@ -5,7 +5,11 @@ from collections import deque
 import pytest
 
 from osgames.games import (
+    ACTIONS,
+    FALLBACK,
+    CoinEvent,
     CoinState,
+    CoinView,
     PayoffParams,
     adjacent,
     coin_step,
@@ -156,6 +160,37 @@ def test_respawn_excludes_players_and_other_coin():
         state = make_state((0, 0), (0, 2), (0, 1), (2, 2))
         nxt, _, _, _ = coin_step(state, "RIGHT", "LEFT", SplitMix64(seed))
         assert nxt.coin_red not in (nxt.pos_a, nxt.pos_b, nxt.coin_blue)
+
+
+def test_events_come_by_player_then_colour_and_red_respawns_first():
+    # A takes blue and B takes red in one step: both cross-colour.
+    state = make_state((0, 0), (2, 2), (2, 1), (0, 1))
+    nxt, da, db, events = coin_step(state, "RIGHT", "LEFT", SplitMix64(6))
+    assert events == [CoinEvent("A", "blue", (0, 1), 0), CoinEvent("B", "red", (2, 1), 0)]
+    assert (da, db) == (1 - 2, 1 - 2)
+    rng = SplitMix64(6)
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    red = [c for c in cells if c not in {(0, 1), (2, 1)}]
+    red = red[rng.rand_below(len(red))]
+    blue = [c for c in cells if c not in {(0, 1), (2, 1), red}]
+    blue = blue[rng.rand_below(len(blue))]
+    assert (nxt.coin_red, nxt.coin_blue) == (red, blue)
+
+
+def test_coins_may_not_share_a_cell():
+    with pytest.raises(ValueError, match="the two coins may not share a cell"):
+        make_state((0, 0), (2, 2), (1, 1), (1, 1))
+
+
+def test_each_seat_sees_its_own_position_and_colour_first():
+    state = make_state((0, 0), (2, 2), (0, 1), (1, 0), n=4)
+    assert state.view("A") == CoinView((0, 0), (2, 2), (0, 1), (1, 0), 4)
+    assert state.view("B") == CoinView((2, 2), (0, 0), (1, 0), (0, 1), 4)
+
+
+def test_each_game_has_its_actions_and_a_legal_fallback():
+    assert ACTIONS == {"ipd": ("C", "D"), "coin": ("UP", "DOWN", "LEFT", "RIGHT")}
+    assert FALLBACK == {"ipd": "D", "coin": "UP"}
 
 
 def test_no_collection_no_respawn():

@@ -10,6 +10,7 @@ from osgames.arena import MatchConfig, MatchRecord
 from osgames.metagame import (
     JUDGE_FEATURES,
     MetaGameError,
+    check_judge_labels,
     merge_judge_labels,
     run_meta_game,
 )
@@ -216,6 +217,18 @@ def test_round_one_failure_aborts():
         )
 
 
+def test_meta_rounds_must_be_positive():
+    started = []
+
+    class Recording(StaticProvider):
+        def start(self, game):
+            started.append(self.provider_id)
+
+    with pytest.raises(MetaGameError, match="meta_rounds must be at least 1"):
+        run_meta_game(Recording("a", source=ALLC), Recording("b", source=ALLC), meta_rounds=0)
+    assert started == []
+
+
 def test_overlong_reply_is_a_recorded_provider_fault():
     record = run_meta_game(
         ExternalProvider(
@@ -373,6 +386,42 @@ def test_judge_entry_for_another_seed_is_still_checked():
     ]
     with pytest.raises(MetaGameError, match="judge entry 1 has unknown judge feature 'bogus'"):
         merge_judge_labels(_two_round_record(0), sidecar)
+
+
+def _judge(k, player="a", **seed):
+    return {"meta_round": k, "player": player, "labels": {"feint": True}, **seed}
+
+
+@pytest.mark.parametrize(
+    "sidecar, named",
+    [
+        (["round 1"], "judge entry 0 must be an object, got 'round 1'"),
+        ([_judge("1")], "judge entry 0 needs an integer meta_round, got '1'"),
+        ([_judge(1.0)], "judge entry 0 needs an integer meta_round, got 1.0"),
+        ([_judge(0)], "judge entry 0 meta_round 0 is outside 1..2"),
+        ([_judge(1), _judge(5)], "judge entry 1 meta_round 5 is outside 1..2"),
+        ([_judge(1), _judge(1)], "judge entries 0 and 1 both label meta_round 1 player 'a'"),
+        ([_judge(1, seed=3), _judge(1, seed=3)], "judge entries 0 and 1 both label"),
+        ([_judge(1, seed=3), _judge(1)], "judge entries 0 and 1 both label"),
+        ([_judge(2), _judge(1), _judge(2, "A", seed=4)],
+         "judge entries 0 and 2 both label meta_round 2 player 'a'"),
+    ],
+    ids=["not-object", "round-string", "round-float", "round-zero", "round-past-run",
+         "same-entry-twice", "same-seed", "one-without-seed", "player-case"],
+)
+def test_judge_entries_that_would_be_lost_are_rejected(sidecar, named):
+    with pytest.raises(MetaGameError, match=named):
+        check_judge_labels(sidecar, 2)
+    with pytest.raises(MetaGameError, match=named):
+        merge_judge_labels(_two_round_record(0), sidecar)
+
+
+def test_judge_entries_for_one_round_and_player_may_differ_by_seed():
+    sidecar = [_judge(1, seed=3), {**_judge(1, seed=4), "labels": {"feint": False}}]
+    check_judge_labels(sidecar, 2)
+    for seed, feint in ((3, True), (4, False)):
+        merged = merge_judge_labels(_two_round_record(seed), sidecar)
+        assert merged.rounds[0].judge_labels == {"a": {"feint": feint}}
 
 
 @pytest.mark.parametrize("literal", ["²", "1" * 5000], ids=["superscript", "5000-digits"])

@@ -143,6 +143,23 @@ def test_osas_one_step_propagation():
     assert (report.tainted_sites, report.total_sites) == (2, 3)
 
 
+def test_osas_loop_variable_under_a_tainted_branch_is_tainted():
+    src = (
+        "fn strategy() {\n"
+        "    if contains(opp_source, \"D\") {\n"
+        "        for h in my_history {\n"
+        "            if h == \"D\" {\n                return \"D\"\n            }\n"
+        "        }\n"
+        "    }\n"
+        "    return \"C\"\n"
+        "}\n"
+    )
+    report = osas(parse_source(src))
+    # the outer condition, `h == "D"` and the first return are tainted; the
+    # loop head reads only my_history, and the final return is clean
+    assert (report.tainted_sites, report.total_sites) == (3, 5)
+
+
 def test_osas_monotone_in_added_tainted_branch():
     base = (
         "fn strategy() {\n"

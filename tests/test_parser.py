@@ -106,6 +106,22 @@ def test_span_soundness_on_errors():
         assert 0 <= exc.value.span.start <= exc.value.span.end <= len(src)
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("fn strategy() {\n    return 1\n", "unclosed block"),
+        ("fn strategy() {\n    return 1 +", "expected expression"),
+    ],
+    ids=["unclosed-block", "expected-expression"],
+)
+def test_errors_at_end_of_input(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_source(src)
+    assert exc.value.message == message
+    # located just past the last token
+    assert exc.value.span.start == exc.value.span.end == len(src.rstrip("\n"))
+
+
 def test_precedence():
     tree = parse_source("fn strategy() {\n    return 1 + 2 * 3 == 7\n}\n")
     ret = tree.defs[0].body[0]

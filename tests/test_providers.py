@@ -263,6 +263,23 @@ def test_external_provider_missing_command():
         provider.start("ipd")
 
 
+@pytest.mark.parametrize(
+    "misuse, message",
+    [
+        (lambda: ExternalProvider("x", command=[]).start("ipd"),
+         "external provider x has no command"),
+        (lambda: ExternalProvider("x", command=["prog"]).propose(ctx(1)),
+         "provider not started"),
+        (lambda: provider_from_spec({"kind": "static"}, "a"),
+         "provider 'a' needs a 'source' or 'path' string"),
+    ],
+    ids=["no-command", "propose-before-start", "no-source-or-path"],
+)
+def test_provider_misuse_is_a_provider_error(misuse, message):
+    with pytest.raises(ProviderError, match=message):
+        misuse()
+
+
 def test_provider_from_spec(tmp_path):
     path = tmp_path / "allc.slang"
     path.write_text(ALLC)

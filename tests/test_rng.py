@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
+
 from osgames.rng import RNG_ALGORITHM, SplitMix64, derive_seed
 
 MASK64 = (1 << 64) - 1
@@ -47,6 +49,22 @@ def test_draw_counter():
     rng.rand_int(0, 3)
     rng.choice([1, 2, 3])
     assert rng.draws >= 3
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda rng: rng.rand_below(0), "rand_below requires n > 0"),
+        (lambda rng: rng.rand_int(3, 2), "rand_int requires lo <= hi"),
+        (lambda rng: rng.choice([]), "choice on empty sequence"),
+    ],
+    ids=["rand_below", "rand_int", "choice"],
+)
+def test_argument_errors_draw_nothing(draw, message):
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match=message):
+        draw(rng)
+    assert rng.draws == 0
 
 
 def test_same_seed_same_stream():

@@ -119,8 +119,10 @@ def test_type_errors():
          "condition must be boolean, got integer"),
         ("fn strategy() {\n    let x = 1\n    while true {\n        x = «x + x»\n    }\n}\n",
          "integer magnitude cap (2^256) exceeded"),
+        ("fn u() {\n    let x = 1\n}\nfn strategy() {\n    return «-u()»\n}\n",
+         "unary '-' needs an integer, got unit"),
     ],
-    ids=["while-condition", "plus-int-cap"],
+    ids=["while-condition", "plus-int-cap", "minus-unit"],
 )
 def test_type_fault_kind_span_and_detail(marked, detail):
     src = marked.replace("«", "").replace("»", "")
@@ -138,6 +140,7 @@ def test_invalid_return():
     # falling off the end returns unit, which is never a legal action
     fault = fault_of("fn strategy() { let x = 1 }")
     assert fault.kind is FaultKind.INVALID_RETURN
+    assert fault.detail == "strategy returned unit, expected one of ['C', 'D']"
 
 
 def test_every_fault_carries_kind_and_span():
@@ -175,6 +178,8 @@ def test_determinism_and_rng_draw_accounting():
     v2 = evaluate(tree, Bindings(), rng=r2)
     assert v1 == v2
     assert r1.draws == r2.draws >= 2
+    # without an rng, a drawing program draws from a fixed stream
+    assert evaluate(tree, Bindings()) == evaluate(tree, Bindings(), rng=SplitMix64(0))
 
 
 def test_isolation_bindings_unchanged():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from osgames.slang import parse_source, validate
+import dataclasses
+
+import osgames.slang
+from osgames.slang import Diagnostic, parse_source, validate
 
 
 def errors_of(src, game="ipd"):
@@ -64,6 +67,14 @@ def test_shadowing_rejected():
     assert any("shadows" in m for m in errors_of(
         'fn helper() { return 1 }\nfn strategy() { let helper = 2\n    return "C" }'
     ))
+    assert errors_of(
+        'fn helper() { return 1 }\nfn other(helper) { return 1 }\nfn strategy() { return "C" }'
+    ) == ["parameter 'helper' shadows a reserved or function name"]
+
+
+def test_every_diagnostic_is_an_error():
+    assert [f.name for f in dataclasses.fields(Diagnostic)] == ["span", "message"]
+    assert not hasattr(osgames.slang, "Severity")
 
 
 def test_ambient_bindings_are_readable_not_writable():
